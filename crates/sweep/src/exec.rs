@@ -32,8 +32,9 @@ use std::time::{Duration, Instant};
 
 use crate::cache::{CacheStats, Lookup, ResultCache};
 use crate::{
-    default_run_timeout, journal, lock_unpoisoned, panic_message, run_point, stable_hash, RunKey,
-    RunRecord, RunSpec, RunStatus, SweepOptions, SweepRequest, SweepResponse, SweepResults,
+    default_run_timeout, journal, lock_unpoisoned, panic_message, program_slots, run_point,
+    stable_hash, ProgramSlot, RunKey, RunRecord, RunSpec, RunStatus, SweepOptions, SweepRequest,
+    SweepResponse, SweepResults,
 };
 
 /// How often the in-order emitter and the drain paths re-check the
@@ -283,6 +284,9 @@ enum Slot {
 struct ReqState {
     specs: Vec<RunSpec>,
     keys: Vec<RunKey>,
+    /// Each spec's program slot, shared by the specs that run the same
+    /// program and dropped with the request.
+    programs: Vec<ProgramSlot>,
     opts: SweepOptions,
     timeout: Duration,
     slots: Mutex<Vec<Slot>>,
@@ -431,6 +435,7 @@ impl SweepExecutor {
             .map(|p| p.map_or(Slot::Empty, |r| Slot::Done(Box::new(r))))
             .collect();
         let state = Arc::new(ReqState {
+            programs: program_slots(&specs),
             specs,
             keys,
             opts: opts.clone(),
@@ -553,7 +558,7 @@ fn run_job(state: &Arc<ReqState>, i: usize) {
                     }
                 }
                 let record = catch_unwind(AssertUnwindSafe(|| {
-                    run_point(spec, &state.opts, state.timeout)
+                    run_point(spec, &state.programs[i], &state.opts, state.timeout)
                 }))
                 .unwrap_or_else(|payload| {
                     RunRecord::failed(

@@ -33,6 +33,12 @@
 //! therefore **bit-identical to the serial sweep** — including the rendered
 //! JSON — which `tests/sweep_determinism.rs` pins with a property test.
 //!
+//! All points of one request that run the same `(workload,
+//! workload_seed)` share one program, built by the first of them to
+//! simulate and dropped when the request returns. [`RunSpec::run`] builds
+//! its own; `tests/sweep_matches_direct.rs` pins that both give the same
+//! record.
+//!
 //! ## Failure isolation
 //!
 //! One bad matrix point must not cost the other hundred: each run executes
@@ -205,7 +211,7 @@ use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use gals_analysis::checks;
@@ -214,6 +220,7 @@ use gals_core::{
     simulate, DeadlockReport, DvfsPlan, PortState, ProcessorConfig, SimError, SimLimits, SimReport,
 };
 use gals_events::Time;
+use gals_isa::Program;
 use gals_workload::{generate_workload, Benchmark, Workload};
 
 pub use gals_analysis::{Finding, Severity};
@@ -674,8 +681,12 @@ impl RunSpec {
     /// (or fails static analysis) returns a failed record with the
     /// appropriate [`RunStatus`] instead of aborting; panic and
     /// wall-clock isolation live one layer up, in [`run_sweep_with`].
+    ///
+    /// Builds its own program; a sweep builds each program once per
+    /// request and shares it, with records equal to this method's.
     pub fn run(&self) -> RunRecord {
-        self.run_with_limits(SimLimits::insts(self.budget))
+        let program = generate_workload(self.benchmark, self.workload_seed);
+        self.run_program(&program, SimLimits::insts(self.budget))
     }
 
     /// Static pre-flight findings for this point under its default run
@@ -704,9 +715,10 @@ impl RunSpec {
         gals_core::analyze(&self.config(), limits).findings
     }
 
-    fn run_with_limits(&self, limits: SimLimits) -> RunRecord {
-        let program = generate_workload(self.benchmark, self.workload_seed);
-        match simulate(&program, self.config(), limits) {
+    /// Simulates `program`, which must be this spec's workload at its
+    /// workload seed, under `limits`.
+    fn run_program(&self, program: &Program, limits: SimLimits) -> RunRecord {
+        match simulate(program, self.config(), limits) {
             Ok(report) => RunRecord::new(self, &report),
             Err(SimError::Deadlock(report)) => {
                 RunRecord::failed(self, RunStatus::Deadlocked { report })
@@ -1264,11 +1276,37 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// A request's program for one `(workload, workload_seed)`, built by the
+/// first point that simulates it and shared by the rest: the paper runs
+/// identical binaries on every clocking and DVFS point.
+type ProgramSlot = Arc<OnceLock<Program>>;
+
+/// The program slot of each spec, in spec order: specs with equal
+/// `(benchmark, workload_seed)` share one slot. Every slot starts empty.
+fn program_slots(specs: &[RunSpec]) -> Vec<ProgramSlot> {
+    let mut distinct: Vec<((Workload, u64), ProgramSlot)> = Vec::new();
+    specs
+        .iter()
+        .map(|spec| {
+            let id = (spec.benchmark, spec.workload_seed);
+            if let Some((_, slot)) = distinct.iter().find(|(d, _)| *d == id) {
+                return Arc::clone(slot);
+            }
+            let slot = ProgramSlot::default();
+            distinct.push((id, Arc::clone(&slot)));
+            slot
+        })
+        .collect()
+}
+
 /// One fully isolated run attempt: its own thread (panics cannot take the
 /// worker down), `catch_unwind` (the payload becomes the record), and a
 /// wall-clock deadline (an overrunning thread is detached, not joined).
+/// The program slot is filled inside the `catch_unwind`, so a generation
+/// panic is this point's record and leaves the slot empty for the next.
 fn run_isolated(
     spec: &RunSpec,
+    program: &ProgramSlot,
     limits: SimLimits,
     timeout: Duration,
     inject_panic: bool,
@@ -1276,6 +1314,7 @@ fn run_isolated(
 ) -> RunRecord {
     let (tx, rx) = mpsc::channel();
     let spec_owned = spec.clone();
+    let program = Arc::clone(program);
     let handle = std::thread::Builder::new()
         .name(format!("sweep-run-{}", spec.index))
         .spawn(move || {
@@ -1286,7 +1325,10 @@ fn run_isolated(
                 if inject_panic {
                     panic!("chaos: injected panic at matrix point {}", spec_owned.index);
                 }
-                spec_owned.run_with_limits(limits)
+                let program = program.get_or_init(|| {
+                    generate_workload(spec_owned.benchmark, spec_owned.workload_seed)
+                });
+                spec_owned.run_program(program, limits)
             }));
             // The receiver may be gone already (deadline hit): that run
             // was recorded as timed out; its late result is dropped.
@@ -1347,8 +1389,14 @@ pub fn check_matrix(matrix: &SweepMatrix, opts: &SweepOptions) -> Vec<(RunSpec, 
 }
 
 /// One matrix point end to end: fault arming (chaos builds), the isolated
-/// attempt, and the retry loop. Returns the final outcome.
-fn run_point(spec: &RunSpec, opts: &SweepOptions, timeout: Duration) -> RunRecord {
+/// attempt on the point's shared program slot, and the retry loop.
+/// Returns the final outcome.
+fn run_point(
+    spec: &RunSpec,
+    program: &ProgramSlot,
+    opts: &SweepOptions,
+    timeout: Duration,
+) -> RunRecord {
     let limits = armed_limits(spec, opts);
     #[cfg(feature = "chaos")]
     let (inject_panic, stall_ms) = (
@@ -1360,7 +1408,7 @@ fn run_point(spec: &RunSpec, opts: &SweepOptions, timeout: Duration) -> RunRecor
 
     let mut attempt = 0;
     loop {
-        let record = run_isolated(spec, limits, timeout, inject_panic, stall_ms);
+        let record = run_isolated(spec, program, limits, timeout, inject_panic, stall_ms);
         if record.status.is_ok() || attempt >= opts.retries {
             return record;
         }
@@ -1997,6 +2045,21 @@ mod tests {
             retries: 0,
             run_timeout_ms: None,
         }
+    }
+
+    #[test]
+    fn specs_running_one_program_share_one_slot() {
+        let mut matrix = tiny_matrix();
+        matrix.benchmarks.push(Workload::Profile(Benchmark::Gcc));
+        let specs = matrix.expand();
+        let slots = program_slots(&specs);
+        for (a, slot_a) in specs.iter().zip(&slots) {
+            for (b, slot_b) in specs.iter().zip(&slots) {
+                let same = a.benchmark == b.benchmark && a.workload_seed == b.workload_seed;
+                assert_eq!(Arc::ptr_eq(slot_a, slot_b), same, "{a:?} / {b:?}");
+            }
+        }
+        assert!(slots.iter().all(|s| s.get().is_none()), "slots start empty");
     }
 
     #[test]

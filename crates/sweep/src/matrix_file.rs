@@ -49,6 +49,7 @@
 //! carries no serde); errors are human-readable strings the binary routes
 //! to stderr with the uniform usage exit code.
 
+use gals_events::FS_PER_PS;
 use gals_workload::Workload;
 
 use crate::{DvfsPoint, ModePoint, SweepMatrix, WORKLOAD_SEED};
@@ -85,9 +86,21 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting the reader accepts. Matrix files,
+/// journal lines and `sweep --serve` requests nest at most five levels;
+/// the cap keeps a hostile line from overflowing the stack of the
+/// recursive descent.
+const MAX_DEPTH: usize = 64;
+
+/// The integers a JSON number carries exactly: below 2^53, every integer
+/// is an `f64` of its own; at and above it, neighbouring integers round
+/// to one value, so a larger number may already have been rounded.
+const EXACT_INT_LIMIT: f64 = (1u64 << 53) as f64;
+
 pub(crate) struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -95,6 +108,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -124,8 +138,19 @@ impl<'a> Parser<'a> {
 
     pub(crate) fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
@@ -303,6 +328,13 @@ pub(crate) fn mode_from_label(label: &str) -> Result<ModePoint, String> {
             let handshake_ps: u64 = ps
                 .parse()
                 .map_err(|_| format!("bad handshake duration in {label:?}"))?;
+            // The clocks keep time in femtoseconds in a u64.
+            if handshake_ps > u64::MAX / FS_PER_PS {
+                return Err(format!(
+                    "handshake duration in {label:?} is out of range (at most {} ps)",
+                    u64::MAX / FS_PER_PS
+                ));
+            }
             Ok(ModePoint::Pausible {
                 handshake_ps,
                 coalesce,
@@ -362,14 +394,25 @@ fn dvfs_from_json(v: &Json) -> Result<DvfsPoint, String> {
     }
 }
 
+/// A JSON value as a non-negative integer below 2^53 (larger numbers may
+/// have been rounded on the way in, so they are refused, not guessed).
+fn exact_u64(v: &Json, what: &str) -> Result<u64, String> {
+    match v {
+        Json::Num(f) if *f >= 0.0 && f.fract() == 0.0 && *f < EXACT_INT_LIMIT => Ok(*f as u64),
+        Json::Num(f) if *f >= EXACT_INT_LIMIT => {
+            Err(format!("{what} {f:e} is out of range (must be below 2^53)"))
+        }
+        other => Err(format!(
+            "{what} must be a non-negative integer, got {}",
+            other.type_name()
+        )),
+    }
+}
+
 pub(crate) fn u64_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::Num(f)) if *f >= 0.0 && f.fract() == 0.0 => Ok(Some(*f as u64)),
-        Some(other) => Err(format!(
-            "{key} must be a non-negative integer, got {}",
-            other.type_name()
-        )),
+        Some(value) => exact_u64(value, key).map(Some),
     }
 }
 
@@ -438,15 +481,7 @@ pub(crate) fn matrix_from_value(root: &Json, default_budget: u64) -> Result<Swee
     }
     let mut phase_seeds = Vec::new();
     for item in list("phase_seeds")? {
-        match item {
-            Json::Num(f) if *f >= 0.0 && f.fract() == 0.0 => phase_seeds.push(*f as u64),
-            other => {
-                return Err(format!(
-                    "phase_seeds entries must be non-negative integers, got {}",
-                    other.type_name()
-                ))
-            }
-        }
+        phase_seeds.push(exact_u64(item, "phase_seeds entry")?);
     }
 
     let retries = match u64_field(root, "retries")? {
@@ -548,5 +583,69 @@ mod tests {
         assert!(e.contains("unknown benchmark"), "{e}");
         let e = matrix_from_json("{", 1).unwrap_err();
         assert!(e.contains("JSON error"), "{e}");
+    }
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_positioned_error() {
+        let at_cap = Parser::new(&nested(MAX_DEPTH)).value();
+        assert!(at_cap.is_ok(), "{at_cap:?}");
+        let past = Parser::new(&nested(MAX_DEPTH + 1)).value().unwrap_err();
+        assert!(
+            past.contains(&format!("at byte {MAX_DEPTH}: nesting deeper")),
+            "{past}"
+        );
+        // Objects count too, and a hostile unterminated line errs instead
+        // of overflowing the stack.
+        for text in ["{\"a\": ".repeat(MAX_DEPTH + 1), "[".repeat(100_000)] {
+            let e = Parser::new(&text).value().unwrap_err();
+            assert!(e.contains("nesting deeper"), "{e}");
+        }
+    }
+
+    fn with_fields(fields: &str) -> Result<SweepMatrix, String> {
+        matrix_from_json(
+            &format!(
+                r#"{{"benchmarks": ["gcc"], "modes": ["sync"], "dvfs": ["nominal"],
+                    "phase_seeds": [1]{fields}}}"#
+            ),
+            1,
+        )
+    }
+
+    #[test]
+    fn integers_past_2_pow_53_are_rejected_not_rounded() {
+        let m = with_fields(r#", "budget": 9007199254740991, "workload_seed": 0"#).unwrap();
+        assert_eq!(m.budget, (1 << 53) - 1);
+        for field in ["budget", "workload_seed", "run_timeout_ms", "retries"] {
+            for value in ["9007199254740992", "1e30"] {
+                let e = with_fields(&format!(r#", "{field}": {value}"#)).unwrap_err();
+                assert!(e.contains(field) && e.contains("out of range"), "{e}");
+            }
+        }
+        let e = matrix_from_json(
+            r#"{"benchmarks": ["gcc"], "modes": ["sync"], "dvfs": ["nominal"],
+                "phase_seeds": [1, 1e30]}"#,
+            1,
+        )
+        .unwrap_err();
+        assert!(
+            e.starts_with("phase_seeds entry 1e30 is out of range"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn handshakes_the_clocks_cannot_hold_are_rejected() {
+        let max = u64::MAX / FS_PER_PS;
+        let ok = mode_from_label(&format!("pausible@{max}ps")).unwrap();
+        assert_eq!(ok.handshake_ps(), Some(max));
+        let e = mode_from_label(&format!("pausible@{}ps", max + 1)).unwrap_err();
+        assert!(e.contains("out of range"), "{e}");
+        assert!(mode_from_label("pausible@18446744073709551615ps").is_err());
+        assert!(mode_from_label("pausible@99999999999999999999ps").is_err());
     }
 }

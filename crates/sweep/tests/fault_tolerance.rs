@@ -14,14 +14,18 @@ use gals_sweep::{
     run_sweep, run_sweep_with, DvfsPoint, FaultPlan, ModePoint, RunStatus, SweepMatrix,
     SweepOptions, WORKLOAD_SEED,
 };
-use gals_workload::{Benchmark, Workload};
+use gals_workload::{Benchmark, ProgramKernel, Workload};
 use proptest::prelude::*;
 
+/// Two profiles and a kernel × three clockings. The kernel's three points
+/// share one program, so a fault injected at one of them lands next to
+/// survivors that run the same program.
 fn small_matrix(seed: u64, budget: u64) -> SweepMatrix {
     SweepMatrix {
         benchmarks: vec![
             Workload::Profile(Benchmark::Adpcm),
             Workload::Profile(Benchmark::Compress),
+            Workload::Kernel(ProgramKernel::IjpegLike),
         ],
         modes: vec![
             ModePoint::Synchronous,
@@ -93,6 +97,39 @@ proptest! {
                 // Survivors: bit-identical, metrics included.
                 prop_assert_eq!(got, want);
             }
+        }
+    }
+}
+
+#[test]
+fn faults_on_kernel_points_spare_the_points_sharing_their_program() {
+    // Points 6..9 run the kernel. The panic hits the point that would
+    // build the shared program first, so a sibling must build it; the
+    // wedge then runs on that shared program.
+    let matrix = small_matrix(1, 600);
+    let clean = run_sweep(&matrix, 1);
+    assert_eq!(clean.runs.len(), 9);
+    for threads in [1, 3] {
+        let faults = FaultPlan {
+            panic_at: vec![6],
+            wedge_at: vec![7],
+            ..FaultPlan::default()
+        };
+        let chaotic = run_sweep_with(
+            &matrix,
+            &SweepOptions::new().threads(threads).faults(faults),
+        )
+        .expect("chaotic sweep still completes");
+        assert!(matches!(chaotic.runs[6].status, RunStatus::Panicked { .. }));
+        assert!(matches!(
+            chaotic.runs[7].status,
+            RunStatus::Deadlocked { .. }
+        ));
+        for i in (0..9).filter(|i| ![6, 7].contains(i)) {
+            assert_eq!(
+                chaotic.runs[i], clean.runs[i],
+                "threads({threads}), point {i}"
+            );
         }
     }
 }
@@ -170,8 +207,10 @@ fn static_check_flags_exactly_the_points_the_runtime_wedges() {
 #[test]
 fn stalled_point_times_out_without_poisoning_the_sweep() {
     let matrix = small_matrix(1, 400);
+    // The deadline binds every point, and in a debug build the first
+    // kernel point also parses and executes the kernel, so it gets room.
     let opts = SweepOptions::new()
-        .run_timeout(Duration::from_millis(100))
+        .run_timeout(Duration::from_millis(1_000))
         .faults(FaultPlan {
             stall_at: vec![(0, 60_000)],
             ..FaultPlan::default()

@@ -5,13 +5,13 @@
 //! report.
 
 use gals_sweep::{run_sweep, DvfsPoint, ModePoint, SweepMatrix, SCHEMA_VERSION, WORKLOAD_SEED};
-use gals_workload::{Benchmark, Workload};
+use gals_workload::{Benchmark, ProgramKernel, Workload};
 use proptest::prelude::*;
 
 /// A small randomised matrix: every axis varies, runs stay cheap.
 fn arb_matrix() -> impl Strategy<Value = SweepMatrix> {
     (
-        0usize..3,     // benchmark pair selector
+        0usize..4,     // benchmark pair selector
         any::<bool>(), // include sync?
         any::<bool>(), // gals wakeup filter
         50u64..600,    // pausible handshake ps
@@ -25,6 +25,12 @@ fn arb_matrix() -> impl Strategy<Value = SweepMatrix> {
                 let benchmarks = match bsel {
                     0 => vec![Workload::Profile(Benchmark::Adpcm)],
                     1 => vec![Workload::Profile(Benchmark::Gcc)],
+                    // A kernel whose one program every mode and DVFS
+                    // point of the request shares, next to a profile.
+                    2 => vec![
+                        Workload::Profile(Benchmark::Adpcm),
+                        Workload::Kernel(ProgramKernel::GccLike),
+                    ],
                     _ => vec![
                         Workload::Profile(Benchmark::Adpcm),
                         Workload::Profile(Benchmark::Compress),
