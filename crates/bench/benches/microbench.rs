@@ -57,8 +57,8 @@ fn bench_clockset(c: &mut Criterion) {
 
 fn bench_sim_throughput(c: &mut Criterion) {
     // End-to-end simulated-instructions-per-host-second — the number every
-    // paper experiment is bottlenecked on. Tracked across PRs via
-    // `cargo run --release --bin bench_throughput` (BENCH_throughput.json).
+    // paper experiment is bottlenecked on. Same-host comparisons across
+    // commits use the layered benchmark in perfbench/.
     let program = generate(Benchmark::Gcc, 42);
     c.bench_function("sim/throughput_insts_per_sec", |b| {
         b.iter(|| {

@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! cargo run --release --bin sweep -- [--budget N] [--threads N] [--out PATH]
-//!     [--matrix FILE | --check FILE | --serve ADDR] [--journal PATH [--resume]]
-//!     [--retries N] [--run-timeout-ms N] [--cache DIR [--cache-cap N]]
+//!     [--matrix FILE | --check FILE] [--cache DIR [--cache-cap N]]
 //! ```
 //!
 //! * `--budget N` — committed instructions per run (default 60 000; CI
@@ -27,38 +26,18 @@
 //!   report is **bit-identical for every thread count** (pinned by
 //!   `crates/sweep/tests/sweep_determinism.rs`).
 //! * `--out PATH` — report path (default `SWEEP_results.json`), written
-//!   atomically (tmp + rename). The report is gitignored: unlike
-//!   `BENCH_throughput.json` it is not a checked-in comparison baseline,
-//!   so runs at any budget are free to (re)write it — CI uploads its smoke
-//!   report as a workflow artifact.
+//!   atomically (tmp + rename). The report is gitignored, so runs at any
+//!   budget are free to (re)write it — CI uploads its smoke report as a
+//!   workflow artifact.
 //!
 //! ## Fault tolerance
 //!
-//! Every matrix point runs isolated on its own thread under a wall-clock
-//! watchdog: a point that panics, deadlocks, or stalls is recorded with a
-//! structured `status` (`panicked` / `deadlocked` / `timed_out`) while the
-//! rest of the sweep completes bit-identically. Any failed point turns the
-//! exit code into 3 (`exit_code::FAILED_RUNS`) after the report is
-//! written.
-//!
-//! * `--journal PATH` — write-ahead JSONL journal: one line per completed
-//!   run, appended atomically, so a killed sweep loses at most the line
-//!   being written.
-//! * `--resume` — replay the journal and re-run only failed or missing
-//!   points. The journal records the matrix identity hash; resuming
-//!   against a different matrix is a loud error, while execution-policy
-//!   changes (`--retries`, `--run-timeout-ms`, `--threads`) are fine.
-//! * `--retries N` — extra in-process attempts per failed point
-//!   (overrides the matrix file's `retries`; default 0).
-//! * `--run-timeout-ms N` — per-run deadline (overrides the matrix file's
-//!   `run_timeout_ms`; default 60 s + 1 ms per budgeted instruction).
-//! * `--chaos-panic I[,J..]` / `--chaos-wedge I[,J..]` /
-//!   `--chaos-stall I:MS` — deterministic fault injection at the given
-//!   matrix indices, for exercising the failure path end-to-end (the CI
-//!   chaos smoke job). Only available when built with `--features chaos`;
-//!   a plain build rejects them with a pointer to the feature.
-//!
-//! ## Cache & serve
+//! Every matrix point runs under `catch_unwind` on its worker, and the
+//! simulator's commit watchdog ends a run that stops committing: a point
+//! that panics or deadlocks is recorded with a structured `status`
+//! (`panicked` / `deadlocked`) while the rest of the sweep completes
+//! bit-identically. Any failed point turns the exit code into 3
+//! (`exit_code::FAILED_RUNS`) after the report is written.
 //!
 //! * `--cache DIR` — content-addressed result cache: each successful run
 //!   is stored under its `RunKey` (a stable content hash of everything
@@ -66,43 +45,25 @@
 //!   warm rerun of an unchanged matrix simulates nothing and a sweep
 //!   sharing points with any previous one simulates only the novel ones.
 //!   The report stays bit-identical either way. A `cache:` summary line
-//!   reports hits/misses (CI pins it). `--cache-cap N` bounds the blob
-//!   count with deterministic eviction.
-//! * `--serve ADDR` — **run no sweep**: bind `ADDR` (e.g.
-//!   `127.0.0.1:4601`) and answer newline-delimited JSON sweep requests
-//!   until a `{"request": "shutdown"}` arrives — concurrently, one
-//!   handler thread per client, all sharing one worker pool and one
-//!   cache. `--max-clients N` / `--max-pending-runs N` bound admission
-//!   (excess work is shed with retryable in-band errors); shutdown
-//!   drains in-flight responses to their `done` trailers before exiting.
-//!   Incompatible with `--matrix`/`--check`/`--journal` and the chaos
-//!   run-fault flags; see `gals_sweep::SweepServer` and
-//!   docs/SWEEP_FORMAT.md §"Cache & serve" for the framing. A
-//!   `--features chaos` build additionally accepts
-//!   `--chaos-drop-after N [--chaos-drop-times C]` — hard-close C sweep
-//!   response streams after N `run` lines, for exercising client retry.
-//! * `--submit ADDR` — **simulate nothing locally**: frame the
-//!   `--matrix` file as one request to the server at `ADDR`, stream the
-//!   response payload (header, `run` lines, `tables` line) to `--out`
-//!   or stdout, and retry with capped exponential backoff on connect
-//!   failure, admission shedding, or a mid-stream disconnect
-//!   (`--submit-retries N` attempts, default 5). `--deadline-ms N`
-//!   forwards a per-request deadline the server enforces. The merged
-//!   payload is byte-identical to an uninterrupted session; the `done`
-//!   trailer's counters go to stderr. Exits 3 if the sweep reported
-//!   failed runs, 2 on exhausted retries or a server-side rejection.
+//!   reports hits/misses (CI pins it). Rerunning a killed or failed sweep
+//!   with the same `--cache` resumes it: only the points without a blob
+//!   simulate. `--cache-cap N` bounds the blob count with deterministic
+//!   eviction.
+//! * `--chaos-panic I[,J..]` / `--chaos-wedge I[,J..]` — deterministic
+//!   fault injection at the given matrix indices, for exercising the
+//!   failure path end-to-end (the CI chaos smoke job). Only available
+//!   when built with `--features chaos`; a plain build rejects them with
+//!   a pointer to the feature.
 //!
 //! See the `gals-sweep` crate docs for the matrix format and the full JSON
 //! schema, and `gals_sweep::SweepMatrix::paper_default` for what the
 //! default matrix covers (the section-3.2 handshake sweep, the DVFS
 //! energy/performance points, and the wakeup filter/coalescing ablations).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use gals_bench::{exit_code, submit, write_atomic, BenchCli};
-use gals_sweep::{
-    sweep, RunStatus, Severity, SweepMatrix, SweepOptions, SweepRequest, SweepServer,
-};
+use gals_bench::{exit_code, write_atomic, BenchCli};
+use gals_sweep::{sweep, RunStatus, Severity, SweepMatrix, SweepOptions, SweepRequest};
 
 /// Default committed-instruction budget per run. Smaller than the figure
 /// binaries' 120k: the default matrix runs 116 configurations (since the
@@ -111,13 +72,8 @@ use gals_sweep::{
 const SWEEP_INSTS: u64 = 60_000;
 
 const USAGE: &str = "sweep [--budget N | N] [--threads N] [--out PATH] \
-     [--matrix FILE | --check FILE | --serve ADDR | --submit ADDR --matrix FILE] \
-     [--journal PATH [--resume]] [--retries N] [--run-timeout-ms N] \
-     [--cache DIR [--cache-cap N]] \
-     [--max-clients N] [--max-pending-runs N] \
-     [--submit-retries N] [--deadline-ms N] \
-     [--chaos-panic I] [--chaos-wedge I] [--chaos-stall I:MS] \
-     [--chaos-drop-after N [--chaos-drop-times C]]";
+     [--matrix FILE | --check FILE] [--cache DIR [--cache-cap N]] \
+     [--chaos-panic I] [--chaos-wedge I]";
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -127,9 +83,8 @@ fn usage_exit(msg: &str) -> ! {
 
 /// Builds the harness options from the command line; the chaos flags only
 /// arm a fault plan when the binary was built with the `chaos` feature.
-fn sweep_options(cli: &BenchCli, matrix: &SweepMatrix) -> SweepOptions {
-    let chaos_armed =
-        !(cli.chaos_panic.is_empty() && cli.chaos_wedge.is_empty() && cli.chaos_stall.is_empty());
+fn sweep_options(cli: &BenchCli) -> SweepOptions {
+    let chaos_armed = !(cli.chaos_panic.is_empty() && cli.chaos_wedge.is_empty());
     #[cfg(not(feature = "chaos"))]
     if chaos_armed {
         usage_exit(
@@ -141,20 +96,10 @@ fn sweep_options(cli: &BenchCli, matrix: &SweepMatrix) -> SweepOptions {
     let faults = gals_sweep::FaultPlan {
         panic_at: cli.chaos_panic.clone(),
         wedge_at: cli.chaos_wedge.clone(),
-        stall_at: cli.chaos_stall.clone(),
         ..gals_sweep::FaultPlan::default()
     };
     let _ = chaos_armed;
-    let mut opts = SweepOptions::new()
-        .threads(cli.threads_or_available())
-        .retries(cli.retries.unwrap_or(matrix.retries))
-        .resume(cli.resume);
-    if let Some(ms) = cli.run_timeout_ms.or(matrix.run_timeout_ms) {
-        opts = opts.run_timeout(Duration::from_millis(ms));
-    }
-    if let Some(path) = &cli.journal {
-        opts = opts.journal(path.clone());
-    }
+    let mut opts = SweepOptions::new().threads(cli.threads_or_available());
     if let Some(dir) = &cli.cache {
         opts = opts.cache(dir.clone());
     }
@@ -191,7 +136,7 @@ fn load_matrix(path: &std::path::Path, cli: &BenchCli) -> SweepMatrix {
 /// exits with [`exit_code::ANALYSIS`] on any warning-or-worse finding.
 fn check_exit(path: &std::path::Path, cli: &BenchCli) -> ! {
     let matrix = load_matrix(path, cli);
-    let opts = sweep_options(cli, &matrix);
+    let opts = sweep_options(cli);
     let start = Instant::now();
     let checked = gals_sweep::check_matrix(&matrix, &opts);
     let elapsed = start.elapsed();
@@ -225,170 +170,8 @@ fn check_exit(path: &std::path::Path, cli: &BenchCli) -> ! {
     std::process::exit(exit_code::OK);
 }
 
-/// The `--serve ADDR` mode: bind, then answer requests until shutdown.
-/// The server owns the cache (if any) across every request; per-request
-/// execution policy arrives in the requests themselves.
-fn serve_exit(addr: &str, cli: &BenchCli) -> ! {
-    if cli.matrix.is_some() || cli.check.is_some() {
-        usage_exit("--serve answers requests; pass matrices over the socket, not --matrix/--check");
-    }
-    if cli.journal.is_some() || cli.resume {
-        usage_exit("--serve is incompatible with --journal/--resume (a journal describes one matrix; the cache is the server's memory)");
-    }
-    if !(cli.chaos_panic.is_empty() && cli.chaos_wedge.is_empty() && cli.chaos_stall.is_empty()) {
-        usage_exit(
-            "--serve is incompatible with the --chaos-panic/--chaos-wedge/--chaos-stall flags",
-        );
-    }
-    if cli.submit_retries.is_some() || cli.deadline_ms.is_some() {
-        usage_exit("--submit-retries/--deadline-ms belong to --submit, not --serve");
-    }
-    #[cfg(not(feature = "chaos"))]
-    if cli.chaos_drop_after.is_some() || cli.chaos_drop_times.is_some() {
-        usage_exit(
-            "--chaos-drop-after needs a fault-injection build: rebuild with --features chaos",
-        );
-    }
-    if cli.chaos_drop_times.is_some() && cli.chaos_drop_after.is_none() {
-        usage_exit("--chaos-drop-times needs --chaos-drop-after");
-    }
-    let mut opts = SweepOptions::new().threads(cli.threads_or_available());
-    if let Some(dir) = &cli.cache {
-        opts = opts.cache(dir.clone());
-    }
-    if let Some(cap) = cli.cache_cap {
-        opts = opts.cache_capacity(cap);
-    }
-    let mut server = SweepServer::bind(addr, cli.budget_or(SWEEP_INSTS), opts)
-        .unwrap_or_else(|e| usage_exit(&e));
-    if let Some(limit) = cli.max_clients {
-        server = server.max_clients(limit);
-    }
-    if let Some(limit) = cli.max_pending_runs {
-        server = server.max_pending_runs(limit);
-    }
-    #[cfg(feature = "chaos")]
-    if cli.chaos_drop_after.is_some() {
-        server = server.chaos(gals_sweep::ServerChaos {
-            drop_after_runs: cli.chaos_drop_after,
-            drop_times: cli.chaos_drop_times.unwrap_or(1),
-        });
-    }
-    let bound = server.local_addr().unwrap_or_else(|e| usage_exit(&e));
-    println!("sweep: serving on {bound}");
-    match server.serve() {
-        Ok(()) => {
-            println!("sweep: shutdown requested, exiting");
-            std::process::exit(exit_code::OK);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(exit_code::USAGE);
-        }
-    }
-}
-
-/// The `--submit ADDR` mode: frame the `--matrix` file as one request
-/// to a running server, merge the (possibly retried) response, and
-/// write the payload. The matrix is validated locally first, so a typo
-/// earns a usage error here instead of a round trip.
-fn submit_exit(addr: &str, cli: &BenchCli) -> ! {
-    let Some(path) = &cli.matrix else {
-        usage_exit("--submit sends a matrix file: add --matrix FILE");
-    };
-    if cli.check.is_some() || cli.journal.is_some() || cli.resume {
-        usage_exit("--submit is incompatible with --check/--journal/--resume");
-    }
-    if cli.cache.is_some() || cli.cache_cap.is_some() {
-        usage_exit("--submit is incompatible with --cache/--cache-cap (the server owns the cache)");
-    }
-    if cli.budget.is_some() || cli.threads.is_some() {
-        usage_exit(
-            "--submit is incompatible with --budget/--threads; set the matrix file's \
-             own budget (execution policy is the server's)",
-        );
-    }
-    if !(cli.chaos_panic.is_empty() && cli.chaos_wedge.is_empty() && cli.chaos_stall.is_empty())
-        || cli.chaos_drop_after.is_some()
-        || cli.chaos_drop_times.is_some()
-    {
-        usage_exit("--submit is incompatible with the --chaos-* flags");
-    }
-    if cli.max_clients.is_some() || cli.max_pending_runs.is_some() {
-        usage_exit("--max-clients/--max-pending-runs belong to --serve, not --submit");
-    }
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        usage_exit(&format!("cannot read matrix file {}: {e}", path.display()))
-    });
-    // Validate locally before bothering the server — same parser, same
-    // default budget, so anything we accept here the server accepts too.
-    SweepMatrix::from_json(&text, SWEEP_INSTS).unwrap_or_else(|e| {
-        usage_exit(&format!(
-            "{} is not a valid matrix file: {e}",
-            path.display()
-        ))
-    });
-    let matrix_json: String = text
-        .chars()
-        .map(|c| if c == '\n' || c == '\r' { ' ' } else { c })
-        .collect();
-    let mut request = submit::SubmitRequest::new(addr, matrix_json);
-    request.deadline_ms = cli.deadline_ms;
-    if let Some(attempts) = cli.submit_retries {
-        request.attempts = attempts;
-    }
-    let outcome = submit::submit(&request).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(exit_code::USAGE);
-    });
-    match &cli.out {
-        Some(out) => {
-            write_atomic(out, &outcome.payload)
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
-            eprintln!(
-                "submit: wrote {} ({} bytes)",
-                out.display(),
-                outcome.payload.len()
-            );
-        }
-        None => print!("{}", outcome.payload),
-    }
-    eprintln!(
-        "submit: {} failed, {} simulated, {} cache hits, {} misses ({} attempt{})",
-        outcome.failed_count,
-        outcome.simulated,
-        outcome.cache_hits,
-        outcome.cache_misses,
-        outcome.attempts_used,
-        if outcome.attempts_used == 1 { "" } else { "s" },
-    );
-    if outcome.failed_count > 0 {
-        std::process::exit(exit_code::FAILED_RUNS);
-    }
-    std::process::exit(exit_code::OK);
-}
-
 fn main() {
     let cli = BenchCli::parse_or_exit(USAGE);
-    if cli.serve.is_some() && cli.submit.is_some() {
-        usage_exit("--serve and --submit are different ends of the socket; pick one");
-    }
-    if let Some(addr) = &cli.serve {
-        serve_exit(addr, &cli);
-    }
-    if let Some(addr) = &cli.submit {
-        submit_exit(addr, &cli);
-    }
-    if cli.max_clients.is_some()
-        || cli.max_pending_runs.is_some()
-        || cli.chaos_drop_after.is_some()
-        || cli.chaos_drop_times.is_some()
-    {
-        usage_exit("--max-clients/--max-pending-runs/--chaos-drop-* need --serve");
-    }
-    if cli.submit_retries.is_some() || cli.deadline_ms.is_some() {
-        usage_exit("--submit-retries/--deadline-ms need --submit ADDR");
-    }
     if let Some(check) = &cli.check {
         if cli.matrix.is_some() {
             usage_exit(
@@ -406,19 +189,18 @@ fn main() {
         Some(path) => load_matrix(path, &cli),
         None => SweepMatrix::paper_default(cli.budget_or(SWEEP_INSTS)),
     };
-    let opts = sweep_options(&cli, &matrix);
+    let opts = sweep_options(&cli);
     let budget = matrix.budget;
     let specs = matrix.expand();
     println!(
         "sweep: {} runs ({} benchmarks x {} modes x {} DVFS points x {} seeds, \
-         budget {budget}) on {} threads{}",
+         budget {budget}) on {} threads",
         specs.len(),
         matrix.benchmarks.len(),
         matrix.modes.len(),
         matrix.dvfs.len(),
         matrix.phase_seeds.len(),
         opts.threads,
-        if opts.resume { " (resuming)" } else { "" },
     );
 
     let start = Instant::now();
@@ -461,8 +243,8 @@ fn main() {
                 ),
             }
         }
-        if cli.journal.is_some() {
-            eprintln!("  re-run with --resume to retry only the failed points");
+        if cache_armed {
+            eprintln!("  re-run with the same --cache to simulate only the failed points");
         }
         std::process::exit(exit_code::FAILED_RUNS);
     }

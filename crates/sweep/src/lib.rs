@@ -42,39 +42,27 @@
 //! ## Failure isolation
 //!
 //! One bad matrix point must not cost the other hundred: each run executes
-//! on its own thread behind `catch_unwind` and a wall-clock deadline, and
-//! its outcome is a [`RunStatus`] recorded *in* the report instead of an
-//! abort. A panic becomes [`RunStatus::Panicked`] with the payload
-//! message; a run that exceeds its deadline (default: 60 s + 1 ms per
-//! budgeted instruction, override via [`SweepOptions::run_timeout`])
-//! becomes [`RunStatus::TimedOut`] and its thread is detached; a machine
-//! that stops making progress surfaces the simulator's structured
-//! [`SimError::Deadlock`](gals_core::SimError) as
-//! [`RunStatus::Deadlocked`] carrying the deterministic
-//! [`gals_core::DeadlockReport`]. Failed records zero
-//! their metrics, are excluded from the derived tables, and leave every
+//! under `catch_unwind` on the worker that picked it up, and its outcome
+//! is a [`RunStatus`] recorded *in* the report instead of an abort. A
+//! panic becomes [`RunStatus::Panicked`] with the payload message; a
+//! machine that stops making progress surfaces the simulator's structured
+//! [`SimError::Deadlock`](gals_core::SimError) as [`RunStatus::Deadlocked`]
+//! carrying the deterministic [`gals_core::DeadlockReport`]. Every failure
+//! is a deterministic function of the spec, and every run ends in bounded
+//! simulated time: the commit watchdog stops a run that commits nothing
+//! for `watchdog_cycles` slow-domain periods. Failed records zero their
+//! metrics, are excluded from the derived tables, and leave every
 //! surviving run bit-identical to a failure-free sweep (pinned by
-//! `tests/fault_tolerance.rs` under the `chaos` feature).
-//!
-//! ## Journal and resume
-//!
-//! With [`SweepOptions::journal`] set, the harness appends one JSONL line
-//! per completed run (write-ahead, atomically appended, content-hash
-//! keyed); [`SweepOptions::resume`] replays the journal, skips the runs
-//! that already succeeded, and re-runs only the failed or missing points
-//! — converging to output bit-identical to a clean sweep. Resuming
-//! against a different matrix is a loud error (the journal header hashes
-//! the matrix identity). [`SweepOptions::retries`] re-attempts failed
-//! points in-process. See the `journal` module source for the format.
+//! `tests/sweep_matches_direct.rs`, and by `tests/fault_tolerance.rs`
+//! under the `chaos` feature).
 //!
 //! ## Deterministic fault injection (`chaos` feature)
 //!
 //! Built with `--features chaos`, a `FaultPlan` forces chosen matrix
-//! points to panic, wedge (a withheld writeback deadlocks the pipeline,
-//! exercising the real watchdog path), or stall past the deadline — so
-//! the whole failure-handling layer is testable end-to-end. With the
-//! feature compiled in but no faults armed, output is bit-identical to a
-//! build without it.
+//! points to panic or wedge (a withheld writeback deadlocks the pipeline,
+//! exercising the real watchdog path), so the whole failure-handling layer
+//! is testable end-to-end. With the feature compiled in but no faults
+//! armed, output is bit-identical to a build without it.
 //!
 //! ## Report schema (`SWEEP_results.json`)
 //!
@@ -83,7 +71,7 @@
 //!
 //! ```text
 //! {
-//!   "schema_version": 4,
+//!   "schema_version": 6,
 //!   "tool": "gals-sweep",
 //!   "budget": <u64>,            // committed-instruction budget per run
 //!   "workload_seed": <u64>,
@@ -100,11 +88,12 @@
 //!       "stretch_time_fs", "rendezvous_block_cycles",
 //!       "min_effective_ghz", "total_energy",
 //!       "average_power",
-//!       "status",               // "ok"/"panicked"/"timed_out"/"deadlocked"
+//!       "status",               // "ok"/"panicked"/"deadlocked"
 //!       "panic_msg",            // panicked runs only
-//!       "deadlock" }, ...       // deadlocked runs only: the structured
+//!       "deadlock",             // deadlocked runs only: the structured
 //!                               // DeadlockReport (trigger, parked clocks,
 //!                               // channel occupancy, ROB/IQ heads, ...)
+//!       "analysis" }, ...       // static findings; omitted when clean
 //!   ],
 //!   "tables": {                 // derived paper-figure tables
 //!     "pausible_slowdown_vs_handshake": [
@@ -136,6 +125,10 @@
 //! from a matrix simply produce empty tables (an empty or singleton
 //! matrix still renders a valid, schema-versioned report).
 //!
+//! Every string the report carries is escaped by
+//! [`gals_analysis::finding::json_escape`], so a user-supplied DVFS label
+//! or a panic message can never break the JSON.
+//!
 //! ## User-defined matrices
 //!
 //! `sweep --matrix FILE` loads a matrix from a JSON file instead of the
@@ -146,20 +139,19 @@
 //!
 //! ## Entry point: requests and responses
 //!
-//! The one public entry point is [`sweep`], taking a [`SweepRequest`]
-//! (*what* to simulate: the matrix; *how* to execute: [`SweepOptions`])
-//! and returning a [`SweepResponse`] (the results plus how the answer
-//! was produced: points actually simulated, cache hit/miss counters).
-//! [`run_sweep`] and [`run_sweep_with`] survive as thin wrappers for the
-//! historical signatures; new code should prefer [`sweep`].
+//! The one entry point is [`sweep`], taking a [`SweepRequest`] (*what* to
+//! simulate: the matrix; *how* to execute: [`SweepOptions`]) and
+//! returning a [`SweepResponse`] (the results plus how the answer was
+//! produced: points actually simulated, cache hit/miss counters).
 //!
 //! ```
-//! use gals_sweep::{sweep, run_sweep, SweepMatrix, SweepRequest};
+//! use gals_sweep::{sweep, SweepMatrix, SweepOptions, SweepRequest};
 //!
 //! let matrix = SweepMatrix::paper_default(500);
-//! let serial = run_sweep(&matrix, 1);
-//! let response = sweep(&SweepRequest::new(matrix)).unwrap();
-//! assert_eq!(serial.to_json(), response.results.to_json());
+//! let serial = sweep(&SweepRequest::new(matrix.clone())).unwrap();
+//! let request = SweepRequest::new(matrix).with_options(SweepOptions::new().threads(4));
+//! let parallel = sweep(&request).unwrap();
+//! assert_eq!(serial.results.to_json(), parallel.results.to_json());
 //! ```
 //!
 //! ## Content-addressed result cache
@@ -168,53 +160,33 @@
 //! canonical identity — a [`RunKey`], the FNV-1a content hash of the
 //! semantic run inputs (benchmark, mode point, DVFS, seeds, budget,
 //! schema version, and the [`ProcessorConfig`] identity), explicitly
-//! *excluding* execution policy (threads, retries, timeouts). With
+//! *excluding* execution policy (threads, cache settings). With
 //! [`SweepOptions::cache`] set, completed runs are stored as
 //! atomically-written JSON blobs keyed by their `RunKey` and looked up
 //! before simulating: a 116-point matrix sharing 100 points with a
 //! previous run simulates only 16. A corrupt or truncated blob is a
-//! miss, never an error. See the [`cache`] module ([`ResultCache`]) and
-//! `docs/SWEEP_FORMAT.md` § "Cache & serve".
-//!
-//! ## Sweep as a service (`sweep --serve`)
-//!
-//! [`SweepServer`] runs the harness as a resident process: clients send
-//! newline-delimited JSON sweep requests over a local TCP socket, the
-//! server shards cache misses across the worker pool and streams per-run
-//! records back incrementally (in matrix order) followed by the derived
-//! tables — the payload is bit-identical whether served from cache or
-//! freshly simulated. The server is concurrent: every connection gets
-//! its own handler, all requests share one [`WorkerPool`] and one
-//! [`ResultCache`] handle (the [`exec`] module's [`SweepExecutor`]),
-//! requests carry optional deadlines and can be cancelled in-band, and
-//! shutdown drains in-flight streams to their `done` trailers. See the
-//! [`server`] module docs for the framing and the [`exec`] module for
-//! the concurrency model.
+//! miss, never an error. The cache is also how a killed or failed sweep
+//! resumes: rerun it with the same cache directory and only the points
+//! without a blob simulate. See the [`cache`] module ([`ResultCache`])
+//! and `docs/SWEEP_FORMAT.md` § "The `--cache DIR` result store".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod exec;
-mod journal;
 mod matrix_file;
-pub mod server;
 pub mod stable_hash;
 
-pub use cache::{CacheStats, Lookup, ResultCache};
-pub use exec::{RunControl, ServedSweep, SweepExecutor, WorkerPool};
-#[cfg(feature = "chaos")]
-pub use server::ServerChaos;
-pub use server::SweepServer;
+pub use cache::{CacheStats, ResultCache};
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use gals_analysis::checks;
+use gals_analysis::finding::json_escape;
 use gals_clocks::{Domain, PausibleModel};
 use gals_core::{
     simulate, DeadlockReport, DvfsPlan, PortState, ProcessorConfig, SimError, SimLimits, SimReport,
@@ -267,6 +239,12 @@ pub use gals_analysis::{Finding, Severity};
 /// the kernel source, so editing a `.gasm` file invalidates exactly the
 /// cached results built from it. Profile-only reports differ from v5
 /// only by the version number. See `docs/PROGRAM_FORMAT.md`.
+///
+/// Still v6: `"timed_out"` no longer occurs. Runs are bounded in
+/// simulated time by the commit watchdog, not by a wall-clock deadline,
+/// so the status set shrank without any field changing. The version is
+/// part of every [`RunKey`], so not bumping it keeps every cached result
+/// valid.
 pub const SCHEMA_VERSION: u32 = 6;
 
 /// Default workload seed (matches the bench harness's "input set").
@@ -441,14 +419,6 @@ pub struct SweepMatrix {
     pub workload_seed: u64,
     /// Committed-instruction budget per run.
     pub budget: u64,
-    /// Default extra attempts for failed points (execution policy, not
-    /// matrix identity: excluded from the journal's matrix hash; the
-    /// `sweep` binary's `--retries` flag overrides it).
-    pub retries: u32,
-    /// Default per-run wall-clock deadline in milliseconds (`None` = the
-    /// harness's budget-scaled default). Execution policy, like
-    /// [`SweepMatrix::retries`]; `--run-timeout-ms` overrides it.
-    pub run_timeout_ms: Option<u64>,
 }
 
 impl SweepMatrix {
@@ -526,8 +496,6 @@ impl SweepMatrix {
             phase_seeds: vec![PHASE_SEED],
             workload_seed: WORKLOAD_SEED,
             budget,
-            retries: 0,
-            run_timeout_ms: None,
         }
     }
 
@@ -538,7 +506,8 @@ impl SweepMatrix {
     /// # Errors
     ///
     /// A human-readable message naming the first problem (malformed JSON,
-    /// unknown benchmark/mode/dvfs, missing or empty axis).
+    /// an unknown key, benchmark, mode or dvfs point, a missing or empty
+    /// axis).
     pub fn from_json(text: &str, default_budget: u64) -> Result<Self, String> {
         matrix_file::matrix_from_json(text, default_budget)
     }
@@ -592,16 +561,7 @@ impl SweepMatrix {
                 .join(", ")
         );
         let _ = writeln!(s, "  \"workload_seed\": {},", self.workload_seed);
-        let _ = writeln!(s, "  \"budget\": {},", self.budget);
-        match self.run_timeout_ms {
-            Some(ms) => {
-                let _ = writeln!(s, "  \"retries\": {},", self.retries);
-                let _ = writeln!(s, "  \"run_timeout_ms\": {ms}");
-            }
-            None => {
-                let _ = writeln!(s, "  \"retries\": {}", self.retries);
-            }
-        }
+        let _ = writeln!(s, "  \"budget\": {}", self.budget);
         s.push_str("}\n");
         s
     }
@@ -679,8 +639,8 @@ impl RunSpec {
 
     /// Executes the run and summarises the report. A point that deadlocks
     /// (or fails static analysis) returns a failed record with the
-    /// appropriate [`RunStatus`] instead of aborting; panic and
-    /// wall-clock isolation live one layer up, in [`run_sweep_with`].
+    /// appropriate [`RunStatus`] instead of aborting; a panic propagates
+    /// here, and [`sweep`] turns it into a record.
     ///
     /// Builds its own program; a sweep builds each program once per
     /// request and shares it, with records equal to this method's.
@@ -691,7 +651,7 @@ impl RunSpec {
 
     /// Static pre-flight findings for this point under its default run
     /// limits — a pure function of the spec (no simulation, no chaos
-    /// arming), so it is recomputable from a journal line and identical
+    /// arming), so it is recomputable from a cache blob and identical
     /// across worker schedules.
     pub fn static_findings(&self) -> Vec<Finding> {
         self.static_findings_with(&SimLimits::insts(self.budget))
@@ -737,9 +697,9 @@ impl RunSpec {
     /// The [`ProcessorConfig::stable_identity`] contribution to the run
     /// key. Mirrors [`RunSpec::static_findings_with`]'s pre-check: an
     /// invalid DVFS point would assert inside the clock constructors,
-    /// and a key must be computable for *every* spec (the matrix hash
-    /// covers points that will fail at run time too), so a statically
-    /// rejected config is keyed by its rejection code instead.
+    /// and a key must be computable for *every* spec (the sweep keys
+    /// points that will fail at run time too), so a statically rejected
+    /// config is keyed by its rejection code instead.
     fn config_identity(&self) -> String {
         let plan = self.dvfs.plan();
         let mut pre = checks::dvfs(&plan.slowdown);
@@ -765,12 +725,11 @@ impl RunSpec {
 /// the [`ProcessorConfig::stable_identity`] of the configuration the spec
 /// builds. Two specs with equal keys produce bit-identical records.
 ///
-/// Execution policy — thread count, retries, timeouts, journal paths —
-/// is deliberately **excluded**: it changes how failures are handled and
-/// how fast the answer arrives, never what is simulated. That split is
-/// what makes the key safe to use as a cache address: the result cache
-/// ([`ResultCache`]) names its blobs by `RunKey`, and the journal keys
-/// its entries the same way.
+/// Execution policy — thread count, cache settings — is deliberately
+/// **excluded**: it changes how fast the answer arrives, never what is
+/// simulated. That split is what makes the key safe to use as a cache
+/// address: the result cache ([`ResultCache`]) names its blobs by
+/// `RunKey`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RunKey(u64);
 
@@ -798,8 +757,8 @@ impl RunKey {
     }
 
     /// The canonical on-disk rendering: 16 lower-case hex digits
-    /// ([`stable_hash::hex16`]) — the journal's `key` field and the
-    /// cache's blob file stem.
+    /// ([`stable_hash::hex16`]) — a cache blob's `key` field and file
+    /// stem.
     pub fn to_hex(self) -> String {
         stable_hash::hex16(self.0)
     }
@@ -816,12 +775,6 @@ impl RunKey {
         }
         u64::from_str_radix(s, 16).ok().map(RunKey)
     }
-
-    /// A key from a raw hash value (tests and the matrix-identity hash).
-    #[cfg(test)]
-    pub(crate) fn from_raw(raw: u64) -> RunKey {
-        RunKey(raw)
-    }
 }
 
 /// How one matrix point ended — recorded per run in the report, so one
@@ -835,9 +788,6 @@ pub enum RunStatus {
         /// The panic payload (or the configuration error), verbatim.
         msg: String,
     },
-    /// The run exceeded its wall-clock deadline and was abandoned
-    /// (its thread is detached; metrics are zeroed).
-    TimedOut,
     /// The simulated machine stopped making progress; the boxed report is
     /// the simulator's deterministic snapshot of the stuck state.
     Deadlocked {
@@ -858,7 +808,6 @@ impl RunStatus {
         match self {
             RunStatus::Ok => "ok",
             RunStatus::Panicked { .. } => "panicked",
-            RunStatus::TimedOut => "timed_out",
             RunStatus::Deadlocked { .. } => "deadlocked",
         }
     }
@@ -876,7 +825,7 @@ pub struct RunRecord {
     /// Static pre-flight findings for this point
     /// ([`RunSpec::static_findings`]) — empty for every clean config,
     /// which is the whole paper matrix. A pure function of the spec, so
-    /// journal resume recomputes it bit-identically.
+    /// a cache hit recomputes it bit-identically.
     pub analysis: Vec<Finding>,
     /// Committed (architectural) instructions.
     pub committed: u64,
@@ -964,25 +913,10 @@ impl RunRecord {
         }
     }
 
-    /// The same metrics attributed to another spec with the same
-    /// [`RunKey`]: equal keys mean equal semantic inputs, so the metric
-    /// fields are bit-identical by the cache contract — only the spec
-    /// (matrix index) and its static findings belong to the new owner.
-    /// How the in-flight table shares one simulation across concurrent
-    /// overlapping requests.
-    pub(crate) fn rebase(&self, spec: &RunSpec) -> RunRecord {
-        RunRecord {
-            spec: spec.clone(),
-            analysis: spec.static_findings(),
-            ..self.clone()
-        }
-    }
-
     /// One run as a single-line JSON object — exactly the element the
     /// report's `runs` array contains (the report adds only indentation
-    /// and commas), and the `"run"` payload a `sweep --serve` response
-    /// streams. One rendering path means cached, resumed, fresh and
-    /// served records are bit-identical by construction.
+    /// and commas). One rendering path means cached and fresh records are
+    /// bit-identical by construction.
     pub fn to_json_object(&self) -> String {
         let mut s = String::new();
         let handshake = match self.spec.mode.handshake_ps() {
@@ -1014,7 +948,7 @@ impl RunRecord {
             pausible_model,
             self.spec.mode.wakeup_filter(),
             self.spec.mode.coalesce(),
-            self.spec.dvfs.label,
+            json_escape(&self.spec.dvfs.label),
             self.spec.phase_seed,
             self.committed,
             self.fetched,
@@ -1040,7 +974,7 @@ impl RunRecord {
             RunStatus::Deadlocked { report } => {
                 let _ = write!(s, ", \"deadlock\": {}", deadlock_json(report));
             }
-            RunStatus::Ok | RunStatus::TimedOut => {}
+            RunStatus::Ok => {}
         }
         // v5: the static analyzer's pre-flight findings, omitted when
         // clean so a clean sweep's report shape matches v4 plus nothing.
@@ -1063,10 +997,9 @@ pub struct SweepResults {
     pub runs: Vec<RunRecord>,
 }
 
-/// Execution policy for a sweep: worker count, failure handling, the
-/// journal, and the result cache. The matrix stays purely declarative —
-/// these knobs change how a sweep executes, never what it simulates
-/// (none of them reaches a [`RunKey`]).
+/// Execution policy for a sweep: worker count and the result cache. The
+/// matrix stays purely declarative — these knobs change how a sweep
+/// executes, never what it simulates (none of them reaches a [`RunKey`]).
 ///
 /// `#[non_exhaustive]`: construct through the builder —
 /// `SweepOptions::new().threads(8).cache(dir)` — so future policy fields
@@ -1077,24 +1010,10 @@ pub struct SweepOptions {
     /// Worker threads (0 or 1 = serial). The result is bit-identical for
     /// every value.
     pub threads: usize,
-    /// Extra in-process attempts for a failed point (the last attempt's
-    /// outcome is recorded).
-    pub retries: u32,
-    /// Per-run wall-clock deadline; `None` uses the budget-scaled default
-    /// (60 s + 1 ms per budgeted instruction).
-    pub run_timeout: Option<Duration>,
-    /// Write-ahead journal path: one atomically-appended JSONL line per
-    /// completed run (see the `journal` module source for the format).
-    pub journal: Option<PathBuf>,
-    /// Replay the journal first and re-run only failed or missing points.
-    /// Requires [`SweepOptions::journal`]; a journal written for a
-    /// different matrix is a loud error. A missing journal file starts a
-    /// fresh (fully journaled) sweep.
-    pub resume: bool,
     /// Content-addressed result cache directory ([`ResultCache`]): looked
     /// up before simulating, written after every completed run. `None`
-    /// disables caching. Composes with [`SweepOptions::resume`] — the
-    /// journal pre-fills first, the cache covers the rest.
+    /// disables caching. Rerunning a killed or failed sweep on the same
+    /// directory simulates only the points that have no blob.
     pub cache: Option<PathBuf>,
     /// Bound on the number of cached blobs; storing past it evicts
     /// deterministically ([`ResultCache`] docs). `None` = unbounded.
@@ -1105,8 +1024,8 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// Default options: host-serial, no retries, budget-scaled deadline,
-    /// no journal, no cache. The start of every builder chain.
+    /// Default options: host-serial, no cache. The start of every builder
+    /// chain.
     pub fn new() -> Self {
         Self::default()
     }
@@ -1115,34 +1034,6 @@ impl SweepOptions {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the extra in-process attempts per failed point.
-    #[must_use]
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Sets the per-run wall-clock deadline.
-    #[must_use]
-    pub fn run_timeout(mut self, timeout: Duration) -> Self {
-        self.run_timeout = Some(timeout);
-        self
-    }
-
-    /// Sets the write-ahead journal path.
-    #[must_use]
-    pub fn journal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.journal = Some(path.into());
-        self
-    }
-
-    /// Enables (or disables) resuming from the journal.
-    #[must_use]
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
         self
     }
 
@@ -1182,9 +1073,6 @@ pub struct FaultPlan {
     /// instruction is withheld ([`gals_core::ChaosFaults`]), so the ROB
     /// head never retires and the real deadlock detectors fire.
     pub wedge_at: Vec<usize>,
-    /// `(index, milliseconds)` pairs: stall the run past its wall-clock
-    /// deadline to force [`RunStatus::TimedOut`].
-    pub stall_at: Vec<(usize, u64)>,
     /// Sequence-number threshold past which a wedged run withholds every
     /// writeback ([`gals_core::ChaosFaults::withhold_writeback`]). Must be
     /// at or below the run budget — sequence numbers grow at least as
@@ -1203,7 +1091,6 @@ impl Default for FaultPlan {
         FaultPlan {
             panic_at: Vec::new(),
             wedge_at: Vec::new(),
-            stall_at: Vec::new(),
             wedge_after_seq: 200,
             wedge_watchdog_cycles: 5_000,
         }
@@ -1214,7 +1101,7 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// True when no fault is armed.
     pub fn is_empty(&self) -> bool {
-        self.panic_at.is_empty() && self.wedge_at.is_empty() && self.stall_at.is_empty()
+        self.panic_at.is_empty() && self.wedge_at.is_empty()
     }
 
     /// A seeded plan choosing `panics` + `wedges` distinct victim indices
@@ -1244,26 +1131,6 @@ impl FaultPlan {
             ..FaultPlan::default()
         }
     }
-
-    fn stall_ms(&self, index: usize) -> u64 {
-        self.stall_at
-            .iter()
-            .find(|(i, _)| *i == index)
-            .map_or(0, |&(_, ms)| ms)
-    }
-}
-
-/// The budget-scaled default per-run deadline: a generous floor plus a
-/// term linear in the simulated work.
-fn default_run_timeout(budget: u64) -> Duration {
-    Duration::from_millis(60_000 + budget)
-}
-
-/// Locks a mutex, recovering from poisoning: a worker panic mid-update
-/// can only leave a slot `None` (re-runnable), never torn, because slot
-/// assignment is a single `Option` store.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1297,60 +1164,6 @@ fn program_slots(specs: &[RunSpec]) -> Vec<ProgramSlot> {
             slot
         })
         .collect()
-}
-
-/// One fully isolated run attempt: its own thread (panics cannot take the
-/// worker down), `catch_unwind` (the payload becomes the record), and a
-/// wall-clock deadline (an overrunning thread is detached, not joined).
-/// The program slot is filled inside the `catch_unwind`, so a generation
-/// panic is this point's record and leaves the slot empty for the next.
-fn run_isolated(
-    spec: &RunSpec,
-    program: &ProgramSlot,
-    limits: SimLimits,
-    timeout: Duration,
-    inject_panic: bool,
-    stall_ms: u64,
-) -> RunRecord {
-    let (tx, rx) = mpsc::channel();
-    let spec_owned = spec.clone();
-    let program = Arc::clone(program);
-    let handle = std::thread::Builder::new()
-        .name(format!("sweep-run-{}", spec.index))
-        .spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if stall_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(stall_ms));
-                }
-                if inject_panic {
-                    panic!("chaos: injected panic at matrix point {}", spec_owned.index);
-                }
-                let program = program.get_or_init(|| {
-                    generate_workload(spec_owned.benchmark, spec_owned.workload_seed)
-                });
-                spec_owned.run_program(program, limits)
-            }));
-            // The receiver may be gone already (deadline hit): that run
-            // was recorded as timed out; its late result is dropped.
-            let _ = tx.send(outcome);
-        })
-        .expect("cannot spawn sweep run thread");
-    match rx.recv_timeout(timeout) {
-        Ok(Ok(record)) => {
-            let _ = handle.join();
-            record
-        }
-        Ok(Err(payload)) => {
-            let _ = handle.join();
-            RunRecord::failed(
-                spec,
-                RunStatus::Panicked {
-                    msg: panic_message(payload.as_ref()),
-                },
-            )
-        }
-        Err(_) => RunRecord::failed(spec, RunStatus::TimedOut),
-    }
 }
 
 /// The limits one matrix point actually runs under: the spec's budget,
@@ -1388,38 +1201,36 @@ pub fn check_matrix(matrix: &SweepMatrix, opts: &SweepOptions) -> Vec<(RunSpec, 
         .collect()
 }
 
-/// One matrix point end to end: fault arming (chaos builds), the isolated
-/// attempt on the point's shared program slot, and the retry loop.
-/// Returns the final outcome.
-fn run_point(
-    spec: &RunSpec,
-    program: &ProgramSlot,
-    opts: &SweepOptions,
-    timeout: Duration,
-) -> RunRecord {
+/// One matrix point end to end, on the worker that picked it up: fault
+/// arming (chaos builds), the point's shared program slot, and
+/// `catch_unwind`, so a panic becomes this point's record. The slot is
+/// filled inside the `catch_unwind`: a generation panic leaves it empty
+/// for the next point that needs it.
+fn run_point(spec: &RunSpec, program: &OnceLock<Program>, opts: &SweepOptions) -> RunRecord {
     let limits = armed_limits(spec, opts);
     #[cfg(feature = "chaos")]
-    let (inject_panic, stall_ms) = (
-        opts.faults.panic_at.contains(&spec.index),
-        opts.faults.stall_ms(spec.index),
-    );
+    let inject_panic = opts.faults.panic_at.contains(&spec.index);
     #[cfg(not(feature = "chaos"))]
-    let (inject_panic, stall_ms) = (false, 0u64);
-
-    let mut attempt = 0;
-    loop {
-        let record = run_isolated(spec, program, limits, timeout, inject_panic, stall_ms);
-        if record.status.is_ok() || attempt >= opts.retries {
-            return record;
+    let inject_panic = false;
+    catch_unwind(AssertUnwindSafe(|| {
+        if inject_panic {
+            panic!("chaos: injected panic at matrix point {}", spec.index);
         }
-        attempt += 1;
-    }
+        let program = program.get_or_init(|| generate_workload(spec.benchmark, spec.workload_seed));
+        spec.run_program(program, limits)
+    }))
+    .unwrap_or_else(|payload| {
+        RunRecord::failed(
+            spec,
+            RunStatus::Panicked {
+                msg: panic_message(payload.as_ref()),
+            },
+        )
+    })
 }
 
 /// A complete sweep request: the declarative matrix (what to simulate)
-/// plus the execution policy (how to run it). The one public entry point
-/// — [`sweep`] and [`sweep_streaming`] consume it, and `sweep --serve`
-/// accepts its JSON rendering over a socket.
+/// plus the execution policy (how to run it), consumed by [`sweep`].
 ///
 /// `#[non_exhaustive]`: construct with
 /// `SweepRequest::new(matrix).with_options(...)`.
@@ -1430,7 +1241,7 @@ pub struct SweepRequest {
     /// [`RunKey`] — two requests with equal matrices share cache entries
     /// regardless of policy.
     pub matrix: SweepMatrix,
-    /// Execution policy: threads, retries, deadline, journal, cache.
+    /// Execution policy: threads and cache.
     pub options: SweepOptions,
 }
 
@@ -1454,115 +1265,97 @@ impl SweepRequest {
 /// What a sweep produced, and how: the results themselves plus the
 /// provenance split between freshly simulated points and cache traffic.
 /// [`SweepResponse::results`] is bit-identical however the records were
-/// obtained (fresh, cached, journal-resumed, any thread count).
+/// obtained (fresh or cached, any thread count).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SweepResponse {
     /// Every run record in matrix order, plus the derived tables
-    /// (rendered via [`SweepResults::to_json`] / `tables_json`).
+    /// (rendered via [`SweepResults::to_json`]).
     pub results: SweepResults,
-    /// Points actually simulated by this call (neither journal-prefilled
-    /// nor served from cache).
+    /// Points actually simulated by this call (not served from cache).
     pub simulated: usize,
-    /// Result-cache traffic for this call; all-zero when no cache is
-    /// configured.
+    /// The cache handle's traffic counters ([`ResultCache::stats`]);
+    /// all-zero when no cache is configured.
     pub cache: CacheStats,
 }
 
-/// Runs every point of `matrix` across a pool of `threads` workers
-/// (clamped to at least one) and returns the records in deterministic
-/// matrix order. Work is handed out through an atomic cursor; each worker
-/// stores its record at the run's matrix index, so the result — and the
-/// JSON rendered from it — is bit-identical for every thread count.
-///
-/// Thin wrapper over [`sweep`], kept for convenience; new callers should
-/// prefer building a [`SweepRequest`]. Failed points are isolated and
-/// recorded per run rather than aborting the sweep.
-pub fn run_sweep(matrix: &SweepMatrix, threads: usize) -> SweepResults {
-    run_sweep_with(matrix, &SweepOptions::new().threads(threads))
-        .expect("a journal-less, cache-less sweep has no fallible I/O")
-}
-
-/// [`run_sweep`] with full execution policy: panic/timeout isolation per
-/// run, in-process retries, the write-ahead journal, `resume`, and the
-/// result cache.
-///
-/// Thin wrapper over [`sweep`] that drops the provenance counters; new
-/// callers should prefer [`sweep`], which also reports cache traffic.
-///
-/// Every surviving run is bit-identical to the same run in a serial,
-/// failure-free sweep; a resumed sweep that converges (all points `ok`)
-/// renders JSON bit-identical to a clean sweep's.
-///
-/// # Errors
-///
-/// See [`sweep`].
-pub fn run_sweep_with(matrix: &SweepMatrix, opts: &SweepOptions) -> Result<SweepResults, String> {
-    sweep(&SweepRequest::new(matrix.clone()).with_options(opts.clone())).map(|r| r.results)
-}
-
 /// Executes a [`SweepRequest`] and returns the complete [`SweepResponse`].
-/// Equivalent to [`sweep_streaming`] with a no-op sink.
+///
+/// With a cache configured, every point whose blob loads is a hit. The
+/// misses run on `threads` scoped workers, which take matrix indices from
+/// one atomic cursor and run each point under `catch_unwind`
+/// ([`RunStatus`]). Points that run the same `(workload, workload_seed)`
+/// share one program. `ok` records go to the cache, and records come back
+/// by matrix index, so the response is bit-identical for every thread
+/// count and every mix of hits and misses.
 ///
 /// # Errors
 ///
-/// Journal or cache I/O problems, and on `resume`: a journal whose matrix
-/// hash, schema version, or entry keys do not match the current matrix (a
-/// journal from a different sweep must never silently merge), or `resume`
-/// without a journal path. Simulation failures are *not* errors — they
-/// are per-run [`RunStatus`] records.
+/// Cache I/O problems: the directory cannot be created or a blob cannot
+/// be written. Simulation failures are *not* errors — they are per-run
+/// [`RunStatus`] records.
 pub fn sweep(request: &SweepRequest) -> Result<SweepResponse, String> {
-    sweep_streaming(request, &mut |_| {})
-}
-
-/// Executes a [`SweepRequest`], handing each completed [`RunRecord`] to
-/// `sink` *in matrix order* as soon as it (and every record before it) is
-/// available — the streaming backbone of `sweep --serve`. The sink runs
-/// on the calling thread and never blocks the worker pool: records are
-/// cloned out under the slot lock, then delivered outside it.
-///
-/// Record provenance is invisible to the sink: a cached or
-/// journal-prefilled record is bit-identical to a freshly simulated one.
-///
-/// # Errors
-///
-/// See [`sweep`]. The sink is infallible; socket-level write errors are
-/// the server's concern.
-pub fn sweep_streaming(
-    request: &SweepRequest,
-    sink: &mut dyn FnMut(&RunRecord),
-) -> Result<SweepResponse, String> {
-    let threads = request
-        .options
-        .threads
-        .max(1)
-        .min(request.matrix.expand().len().max(1));
-    // A transient executor: the same engine `sweep --serve` keeps
-    // resident, torn down (pool joined) when this call returns. With
-    // one request and a fresh cache handle, its per-request tallies are
-    // exactly the handle's own counters, so the response is identical
-    // to the pre-pool implementation's.
-    let executor = exec::SweepExecutor::new(threads, None);
-    let served = executor.run(request, sink, &exec::RunControl::unbounded())?;
-    Ok(served
-        .response
-        .expect("an unbounded RunControl never cancels"))
-}
-
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes and the control characters the matrix parser understands).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
+    let opts = &request.options;
+    let specs = request.matrix.expand();
+    let keys: Vec<RunKey> = specs.iter().map(RunKey::of).collect();
+    let cache = match &opts.cache {
+        Some(dir) => Some(ResultCache::open(dir, opts.cache_capacity)?),
+        None => None,
+    };
+    let mut runs: Vec<Option<RunRecord>> = match &cache {
+        Some(cache) => specs
+            .iter()
+            .zip(&keys)
+            .map(|(spec, &key)| cache.load(key, spec))
+            .collect(),
+        None => vec![None; specs.len()],
+    };
+    let misses: Vec<usize> = (0..specs.len()).filter(|&i| runs[i].is_none()).collect();
+    let programs = program_slots(&specs);
+    let cursor = AtomicUsize::new(0);
+    let work = || -> Result<Vec<RunRecord>, String> {
+        let mut done = Vec::new();
+        while let Some(&i) = misses.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let record = run_point(&specs[i], &programs[i], opts);
+            if let Some(cache) = &cache {
+                cache.store(&record, keys[i])?;
+            }
+            done.push(record);
+        }
+        Ok(done)
+    };
+    let workers = opts.threads.max(1).min(misses.len());
+    let fresh: Vec<Result<Vec<RunRecord>, String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                std::thread::Builder::new()
+                    .name(format!("sweep-worker-{w}"))
+                    .spawn_scoped(scope, work)
+                    .expect("cannot spawn a sweep worker")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a sweep worker catches every run's panic"))
+            .collect()
+    });
+    for batch in fresh.into_iter().collect::<Result<Vec<_>, _>>()? {
+        for record in batch {
+            let index = record.spec.index;
+            runs[index] = Some(record);
         }
     }
-    out
+    Ok(SweepResponse {
+        results: SweepResults {
+            matrix: request.matrix.clone(),
+            runs: runs
+                .into_iter()
+                .map(|r| r.expect("every point is a cache hit or was run"))
+                .collect(),
+        },
+        simulated: misses.len(),
+        cache: cache.map_or_else(CacheStats::default, |c| c.stats()),
+    })
 }
 
 /// Renders a [`DeadlockReport`] as the report's structured `deadlock`
@@ -1767,21 +1560,6 @@ impl SweepResults {
         s
     }
 
-    /// The four derived tables as one compact (single-line) JSON object —
-    /// the `"tables"` payload of a `sweep --serve` response. Rendered by
-    /// the same code as [`SweepResults::to_json`]'s `tables` member, so
-    /// the two can never disagree.
-    pub fn tables_json(&self) -> String {
-        let mut body = String::new();
-        self.tables_body(&mut body);
-        let mut out = String::from("{");
-        for line in body.lines() {
-            out.push_str(line.trim_start());
-        }
-        out.push('}');
-        out
-    }
-
     /// Writes the members of the report's `tables` object (indented
     /// multi-line form, no surrounding braces).
     fn tables_body(&self, s: &mut String) {
@@ -1941,7 +1719,7 @@ impl SweepResults {
             };
             let mut row = format!(
                 "      {{\"dvfs\": \"{}\", \"benchmarks\": {benchmarks}, \"seeds\": {}, ",
-                point.label,
+                json_escape(&point.label),
                 self.seed_count()
             );
             spread_fields(&mut row, "geomean_relative_performance", Some(p));
@@ -2024,7 +1802,7 @@ impl SweepResults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::matrix_file::{Json, Parser};
 
     fn tiny_matrix() -> SweepMatrix {
         SweepMatrix {
@@ -2042,9 +1820,14 @@ mod tests {
             phase_seeds: vec![1],
             workload_seed: WORKLOAD_SEED,
             budget: 1_000,
-            retries: 0,
-            run_timeout_ms: None,
         }
+    }
+
+    fn run(matrix: &SweepMatrix, threads: usize) -> SweepResults {
+        let options = SweepOptions::new().threads(threads);
+        sweep(&SweepRequest::new(matrix.clone()).with_options(options))
+            .expect("a cache-less sweep has no fallible I/O")
+            .results
     }
 
     #[test]
@@ -2070,18 +1853,32 @@ mod tests {
             "2\u{00d7} \"mem\"",
             [1.0, 1.0, 1.0, 1.0, 2.0],
         ));
-        // The execution-policy fields round-trip too.
-        matrix.retries = 2;
-        matrix.run_timeout_ms = Some(120_000);
         let rendered = matrix.to_matrix_json();
         let parsed = SweepMatrix::from_json(&rendered, 0).expect("rendered matrix parses");
         assert_eq!(parsed, matrix);
+    }
 
-        // And the no-timeout form (the field is omitted, not null).
-        matrix.run_timeout_ms = None;
-        let rendered = matrix.to_matrix_json();
-        assert!(!rendered.contains("run_timeout_ms"));
-        let parsed = SweepMatrix::from_json(&rendered, 0).expect("rendered matrix parses");
+    #[test]
+    fn dvfs_labels_are_escaped_in_the_report_and_the_matrix_file() {
+        let label = "fp \"2x\" \\ \r\u{1}";
+        let mut matrix = tiny_matrix();
+        matrix.dvfs[1].label = label.into();
+        let json = run(&matrix, 1).to_json();
+        let report = Parser::new(&json)
+            .value()
+            .expect("the report is valid JSON");
+        let want = Some(&Json::Str(label.into()));
+        let Some(Json::Arr(runs)) = report.get("runs") else {
+            panic!("no runs array:\n{json}");
+        };
+        assert_eq!(runs[2].get("dvfs"), want, "{json}");
+        let tables = report.get("tables").expect("tables");
+        let Some(Json::Arr(rows)) = tables.get("energy_perf_vs_frequency") else {
+            panic!("no DVFS table:\n{json}");
+        };
+        assert_eq!(rows[1].get("dvfs"), want, "{json}");
+
+        let parsed = SweepMatrix::from_json(&matrix.to_matrix_json(), 0).expect("parses");
         assert_eq!(parsed, matrix);
     }
 
@@ -2096,8 +1893,6 @@ mod tests {
         let m = SweepMatrix::from_json(text, 4_321).expect("valid file");
         assert_eq!(m.budget, 4_321, "missing budget falls back to the default");
         assert_eq!(m.workload_seed, WORKLOAD_SEED);
-        assert_eq!(m.retries, 0, "missing retries defaults to none");
-        assert_eq!(m.run_timeout_ms, None);
         assert_eq!(m.dvfs[0], DvfsPoint::uniform(1.5));
         assert_eq!(
             m.modes[0],
@@ -2121,7 +1916,7 @@ mod tests {
             },
         ];
         matrix.phase_seeds = vec![1, 2, 3];
-        let results = run_sweep(&matrix, 2);
+        let results = run(&matrix, 2);
         let json = results.to_json();
         assert!(json.contains("\"seeds\": 3"), "{json}");
         assert!(json.contains("geomean_channel_ops_ratio_min"), "{json}");
@@ -2221,8 +2016,8 @@ mod tests {
     }
 
     #[test]
-    fn run_sweep_fills_every_slot_in_matrix_order() {
-        let results = run_sweep(&tiny_matrix(), 2);
+    fn sweep_fills_every_slot_in_matrix_order() {
+        let results = run(&tiny_matrix(), 2);
         assert_eq!(results.runs.len(), 3);
         for (i, r) in results.runs.iter().enumerate() {
             assert_eq!(r.spec.index, i);
@@ -2233,7 +2028,7 @@ mod tests {
 
     #[test]
     fn json_is_schema_versioned_and_balanced() {
-        let json = run_sweep(&tiny_matrix(), 1).to_json();
+        let json = run(&tiny_matrix(), 1).to_json();
         assert!(json.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
         assert!(json.contains("\"runs\": ["));
         assert!(json.contains("\"tables\": {"));
@@ -2248,87 +2043,6 @@ mod tests {
         assert!(json.contains("\"status\": \"ok\""));
     }
 
-    /// A unique temp path per call (tests share one process).
-    fn temp_path(tag: &str) -> std::path::PathBuf {
-        static SEQ: AtomicUsize = AtomicUsize::new(0);
-        std::env::temp_dir().join(format!(
-            "gals-sweep-test-{}-{}-{tag}.jsonl",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
-
-    #[test]
-    fn journaled_sweep_resumes_to_identical_output() {
-        let matrix = tiny_matrix();
-        let path = temp_path("resume");
-        let opts = SweepOptions::new().journal(path.clone());
-        let clean = run_sweep_with(&matrix, &opts).expect("journaled sweep");
-        let journal_text = std::fs::read_to_string(&path).expect("journal written");
-        assert_eq!(
-            journal_text.lines().count(),
-            1 + clean.runs.len(),
-            "header + one line per run:\n{journal_text}"
-        );
-
-        // Resume over a complete journal re-runs nothing and renders
-        // bit-identical JSON.
-        let resumed = run_sweep_with(
-            &matrix,
-            &SweepOptions::new().journal(path.clone()).resume(true),
-        )
-        .expect("resumed sweep");
-        assert_eq!(resumed.to_json(), clean.to_json());
-
-        // A torn tail (killed mid-append) re-runs only that point and
-        // still converges to identical output.
-        let torn: String = journal_text[..journal_text.len() - 20].to_string();
-        std::fs::write(&path, torn).expect("truncate journal");
-        let resumed = run_sweep_with(
-            &matrix,
-            &SweepOptions::new().journal(path.clone()).resume(true),
-        )
-        .expect("resumed sweep over torn journal");
-        assert_eq!(resumed.to_json(), clean.to_json());
-
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn resume_rejects_a_journal_from_a_different_matrix() {
-        let matrix = tiny_matrix();
-        let path = temp_path("mismatch");
-        run_sweep_with(&matrix, &SweepOptions::new().journal(path.clone()))
-            .expect("journaled sweep");
-
-        let mut other = matrix.clone();
-        other.budget += 1;
-        let err = run_sweep_with(
-            &other,
-            &SweepOptions::new().journal(path.clone()).resume(true),
-        )
-        .unwrap_err();
-        assert!(err.contains("does not match the current matrix"), "{err}");
-
-        // Changing only execution policy is NOT an identity change.
-        let mut policy = matrix.clone();
-        policy.retries = 3;
-        policy.run_timeout_ms = Some(999_999);
-        run_sweep_with(
-            &policy,
-            &SweepOptions::new().journal(path.clone()).resume(true),
-        )
-        .expect("policy-only change resumes fine");
-
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn resume_without_a_journal_is_an_error() {
-        let err = run_sweep_with(&tiny_matrix(), &SweepOptions::new().resume(true)).unwrap_err();
-        assert!(err.contains("journal"), "{err}");
-    }
-
     #[test]
     fn failed_records_zero_metrics_and_render_with_status() {
         let specs = tiny_matrix().expand();
@@ -2340,7 +2054,7 @@ mod tests {
         );
         assert_eq!(failed.committed, 0);
         assert!(!failed.status.is_ok());
-        let mut results = run_sweep(&tiny_matrix(), 1);
+        let mut results = run(&tiny_matrix(), 1);
         results.runs[0] = failed;
         let json = results.to_json();
         assert!(json.contains("\"failed_count\": 1"), "{json}");
@@ -2350,9 +2064,5 @@ mod tests {
         );
         // Balanced even with the escaped payload embedded.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-
-        // The timed-out label renders too.
-        results.runs[1] = RunRecord::failed(&specs[1], RunStatus::TimedOut);
-        assert!(results.to_json().contains("\"status\": \"timed_out\""));
     }
 }

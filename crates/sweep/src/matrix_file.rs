@@ -15,9 +15,7 @@
 //!   ],
 //!   "phase_seeds": [2002, 7],
 //!   "workload_seed": 1590088705,
-//!   "budget": 60000,
-//!   "retries": 1,
-//!   "run_timeout_ms": 120000
+//!   "budget": 60000
 //! }
 //! ```
 //!
@@ -33,13 +31,9 @@
 //! * `workload_seed` and `budget` are optional (defaults:
 //!   [`WORKLOAD_SEED`](crate::WORKLOAD_SEED) and 60 000; the `sweep`
 //!   binary's `--budget` flag overrides the file).
-//! * `retries` and `run_timeout_ms` are optional execution-policy
-//!   defaults (extra attempts for failed points, and the per-run
-//!   wall-clock deadline): defaults 0 and unset (the harness then uses
-//!   its budget-scaled deadline), overridable by the `sweep` binary's
-//!   `--retries`/`--run-timeout-ms` flags. They do not change *what* is
-//!   simulated, only how failures are handled, so they are excluded from
-//!   the journal's matrix identity hash.
+//! * Any other key, at the top level or in a dvfs object, is an error
+//!   that names it: a misspelt `budget` must not silently run at the
+//!   default.
 //!
 //! [`SweepMatrix::to_matrix_json`](crate::SweepMatrix::to_matrix_json)
 //! renders this format back, and the loader/renderer pair round-trips
@@ -55,7 +49,7 @@ use gals_workload::Workload;
 use crate::{DvfsPoint, ModePoint, SweepMatrix, WORKLOAD_SEED};
 
 /// A parsed JSON value (just enough of the grammar for matrix files and
-/// the sweep journal, which shares this reader).
+/// cache blobs, which share this reader).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Json {
     Null,
@@ -86,10 +80,9 @@ impl Json {
     }
 }
 
-/// The deepest array/object nesting the reader accepts. Matrix files,
-/// journal lines and `sweep --serve` requests nest at most five levels;
-/// the cap keeps a hostile line from overflowing the stack of the
-/// recursive descent.
+/// The deepest array/object nesting the reader accepts. Matrix files and
+/// cache blobs nest at most three levels; the cap keeps a hostile line
+/// from overflowing the stack of the recursive descent.
 const MAX_DEPTH: usize = 64;
 
 /// The integers a JSON number carries exactly: below 2^53, every integer
@@ -184,23 +177,34 @@ impl<'a> Parser<'a> {
                     return String::from_utf8(out).map_err(|_| self.err("malformed UTF-8"));
                 }
                 Some(b'\\') => {
-                    // Matrix files carry benchmark/mode names; the escapes
-                    // that can appear are the simple ones.
                     let esc = *self
                         .bytes
                         .get(self.pos + 1)
                         .ok_or_else(|| self.err("dangling escape"))?;
-                    out.push(match esc {
-                        b'"' => b'"',
-                        b'\\' => b'\\',
-                        b'/' => b'/',
-                        b'n' => b'\n',
-                        b't' => b'\t',
+                    let mut len = 2;
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => {
+                            len = 6;
+                            let code = self.hex4(self.pos + 2)?;
+                            // Only surrogates are not chars below 0x10000.
+                            char::from_u32(code).ok_or_else(|| {
+                                self.err(&format!("\\u{code:04x} is a surrogate, not a character"))
+                            })?
+                        }
                         other => {
                             return Err(self.err(&format!("unsupported escape \\{}", other as char)))
                         }
-                    });
-                    self.pos += 2;
+                    };
+                    out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                    self.pos += len;
                 }
                 Some(&c) => {
                     out.push(c);
@@ -209,6 +213,15 @@ impl<'a> Parser<'a> {
                 None => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        self.bytes
+            .get(at..at + 4)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|h| u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok())
+            .ok_or_else(|| self.err("\\u needs four hex digits"))
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -359,6 +372,7 @@ fn dvfs_from_json(v: &Json) -> Result<DvfsPoint, String> {
             Ok(DvfsPoint::uniform(factor))
         }
         Json::Obj(_) => {
+            check_keys(v, "dvfs object", &["label", "slowdown"])?;
             let label = match v.get("label") {
                 Some(Json::Str(s)) => s.clone(),
                 _ => return Err("dvfs object needs a string \"label\"".into()),
@@ -416,12 +430,28 @@ pub(crate) fn u64_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// Rejects the first key of object `v` outside `known`, naming it.
+fn check_keys(v: &Json, what: &str, known: &[&str]) -> Result<(), String> {
+    let Json::Obj(fields) = v else { return Ok(()) };
+    match fields
+        .iter()
+        .find(|(key, _)| !known.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(format!(
+            "unknown {what} key {key:?} (expected one of: {})",
+            known.join(", ")
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Parses a matrix file (see the module docs for the format).
 ///
 /// # Errors
 ///
 /// A human-readable message naming the first problem — malformed JSON, an
-/// unknown benchmark/mode/dvfs name, a missing axis, or an empty one.
+/// unknown key or benchmark/mode/dvfs name, a missing axis, or an empty
+/// one.
 pub(crate) fn matrix_from_json(text: &str, default_budget: u64) -> Result<SweepMatrix, String> {
     let mut parser = Parser::new(text);
     let root = parser.value()?;
@@ -429,18 +459,24 @@ pub(crate) fn matrix_from_json(text: &str, default_budget: u64) -> Result<SweepM
     if parser.pos != parser.bytes.len() {
         return Err(parser.err("trailing data after the matrix object"));
     }
-    matrix_from_value(&root, default_budget)
-}
-
-/// Converts an already-parsed matrix object (a file's root, or the
-/// `"matrix"` member of a `sweep --serve` request) into a [`SweepMatrix`].
-pub(crate) fn matrix_from_value(root: &Json, default_budget: u64) -> Result<SweepMatrix, String> {
     if !matches!(root, Json::Obj(_)) {
         return Err(format!(
             "matrix file must be a JSON object, got {}",
             root.type_name()
         ));
     }
+    check_keys(
+        &root,
+        "matrix",
+        &[
+            "benchmarks",
+            "modes",
+            "dvfs",
+            "phase_seeds",
+            "workload_seed",
+            "budget",
+        ],
+    )?;
 
     let list = |key: &str| -> Result<&Vec<Json>, String> {
         match root.get(key) {
@@ -484,20 +520,13 @@ pub(crate) fn matrix_from_value(root: &Json, default_budget: u64) -> Result<Swee
         phase_seeds.push(exact_u64(item, "phase_seeds entry")?);
     }
 
-    let retries = match u64_field(root, "retries")? {
-        None => 0,
-        Some(n) => u32::try_from(n).map_err(|_| format!("retries {n} is out of range"))?,
-    };
-
     Ok(SweepMatrix {
         benchmarks,
         modes,
         dvfs,
         phase_seeds,
-        workload_seed: u64_field(root, "workload_seed")?.unwrap_or(WORKLOAD_SEED),
-        budget: u64_field(root, "budget")?.unwrap_or(default_budget),
-        retries,
-        run_timeout_ms: u64_field(root, "run_timeout_ms")?,
+        workload_seed: u64_field(&root, "workload_seed")?.unwrap_or(WORKLOAD_SEED),
+        budget: u64_field(&root, "budget")?.unwrap_or(default_budget),
     })
 }
 
@@ -620,7 +649,7 @@ mod tests {
     fn integers_past_2_pow_53_are_rejected_not_rounded() {
         let m = with_fields(r#", "budget": 9007199254740991, "workload_seed": 0"#).unwrap();
         assert_eq!(m.budget, (1 << 53) - 1);
-        for field in ["budget", "workload_seed", "run_timeout_ms", "retries"] {
+        for field in ["budget", "workload_seed"] {
             for value in ["9007199254740992", "1e30"] {
                 let e = with_fields(&format!(r#", "{field}": {value}"#)).unwrap_err();
                 assert!(e.contains(field) && e.contains("out of range"), "{e}");
@@ -636,6 +665,40 @@ mod tests {
             e.starts_with("phase_seeds entry 1e30 is out of range"),
             "{e}"
         );
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_by_name() {
+        for key in ["buget", "retries", "run_timeout_ms"] {
+            let e = with_fields(&format!(r#", "{key}": 500"#)).unwrap_err();
+            assert!(e.contains(&format!("unknown matrix key \"{key}\"")), "{e}");
+        }
+        let e = matrix_from_json(
+            r#"{"benchmarks": ["gcc"], "modes": ["gals"], "phase_seeds": [1],
+                "dvfs": [{"label": "fp2x", "slowdown": [1, 1, 1, 2, 1], "volts": 1}]}"#,
+            1,
+        )
+        .unwrap_err();
+        assert!(e.contains("unknown dvfs object key \"volts\""), "{e}");
+    }
+
+    #[test]
+    fn strings_decode_every_json_escape() {
+        let text = r#""\"\\\/\b\f\n\r\t\u0001\u00e9\u20AC""#;
+        let v = Parser::new(text).value().expect("valid string");
+        assert_eq!(
+            v,
+            Json::Str("\"\\/\u{8}\u{c}\n\r\t\u{1}\u{e9}\u{20ac}".into())
+        );
+        for bad in [
+            r#""\ud800""#,
+            r#""\udfff""#,
+            r#""\u12""#,
+            r#""\u+123""#,
+            r#""\x""#,
+        ] {
+            assert!(Parser::new(bad).value().is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -1,23 +1,14 @@
 //! The one place the sweep's content hashing lives: FNV-1a 64-bit over a
 //! canonical byte string, rendered as 16 lower-case hex digits.
 //!
-//! Three consumers share these primitives, so the on-disk formats cannot
-//! drift apart:
-//!
-//! * [`RunKey`] — the per-run content hash behind the
-//!   result cache's blob names and the journal's entry keys;
-//! * [`matrix_identity`] — the journal header's whole-matrix hash;
-//! * the pinned golden-vector test below, which fails loudly if the hash
-//!   function (and therefore every cached blob and journal on disk) ever
-//!   changes meaning.
+//! [`RunKey`](crate::RunKey), the per-run content hash behind the result
+//! cache's blob names and keys, is built on these primitives; the pinned
+//! golden-vector test below fails loudly if the hash function (and
+//! therefore every cached blob on disk) ever changes meaning.
 //!
 //! FNV-1a is deliberate: the workspace carries no external hash crates,
 //! and collision resistance is not a goal — these hashes guard against
-//! honest mistakes (resuming the wrong journal, reading a stale cache
-//! blob), not adversaries.
-
-use crate::RunKey;
-use crate::SCHEMA_VERSION;
+//! honest mistakes (reading a stale cache blob), not adversaries.
 
 /// FNV-1a 64-bit over a byte string. The offset basis and prime are the
 /// published constants; the reference vectors are pinned by a test so the
@@ -33,24 +24,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The canonical rendering of a 64-bit hash everywhere it lands on disk
-/// (journal headers and keys, cache blob file names): 16 lower-case hex
-/// digits, zero-padded.
+/// (cache blob keys and file names): 16 lower-case hex digits,
+/// zero-padded.
 pub fn hex16(h: u64) -> String {
     format!("{h:016x}")
-}
-
-/// Identity hash of a whole matrix: the schema version plus every
-/// expanded run's [`RunKey`], in matrix order. Written to the journal
-/// header; execution policy (`retries`, `run_timeout_ms`, thread count)
-/// never reaches a `RunKey`, so policy changes resume cleanly while any
-/// change to an axis, seed, budget or config is caught loudly.
-pub fn matrix_identity(keys: &[RunKey]) -> u64 {
-    let mut canon = format!("v{}|{}", SCHEMA_VERSION, keys.len());
-    for key in keys {
-        canon.push('|');
-        canon.push_str(&key.to_hex());
-    }
-    fnv1a(canon.as_bytes())
 }
 
 #[cfg(test)]
@@ -60,9 +37,9 @@ mod tests {
     #[test]
     fn fnv1a_matches_reference_vectors() {
         // Published FNV-1a 64 test vectors: the golden pin under every
-        // on-disk key. If this fails, cached blobs and journals written
-        // by earlier builds are unreadable — bump the journal version and
-        // say so in docs/SWEEP_FORMAT.md instead of bending the hash.
+        // on-disk key. If this fails, cached blobs written by earlier
+        // builds are orphaned — say so in docs/SWEEP_FORMAT.md instead of
+        // bending the hash.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
@@ -73,14 +50,5 @@ mod tests {
         assert_eq!(hex16(0), "0000000000000000");
         assert_eq!(hex16(0xABC), "0000000000000abc");
         assert_eq!(hex16(u64::MAX), "ffffffffffffffff");
-    }
-
-    #[test]
-    fn matrix_identity_is_order_sensitive() {
-        let a = RunKey::from_raw(1);
-        let b = RunKey::from_raw(2);
-        assert_eq!(matrix_identity(&[a, b]), matrix_identity(&[a, b]));
-        assert_ne!(matrix_identity(&[a, b]), matrix_identity(&[b, a]));
-        assert_ne!(matrix_identity(&[a]), matrix_identity(&[a, a]));
     }
 }

@@ -1,7 +1,8 @@
 //! The content-addressed result cache, end to end: a warm rerun is
 //! bit-identical with zero simulated points, corruption degrades to a
-//! miss (never an error, never a wrong bit), policy changes never touch a
-//! `RunKey`, and the cache composes with journaled resume.
+//! miss (never an error, never a wrong bit), execution policy never
+//! touches a `RunKey`, and a rerun on the same cache resumes a killed
+//! sweep.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -34,8 +35,6 @@ fn small_matrix(seed: u64, budget: u64) -> SweepMatrix {
         phase_seeds: vec![seed],
         workload_seed: WORKLOAD_SEED,
         budget,
-        retries: 0,
-        run_timeout_ms: None,
     }
 }
 
@@ -125,12 +124,27 @@ fn run_keys_ignore_execution_policy_and_separate_content() {
     let matrix = small_matrix(1, 500);
     let base: Vec<RunKey> = matrix.expand().iter().map(RunKey::of).collect();
 
-    // Execution policy — threads, retries, timeouts — never reaches a key.
-    let mut policy = matrix.clone();
-    policy.retries = 7;
-    policy.run_timeout_ms = Some(123_456);
-    let policy_keys: Vec<RunKey> = policy.expand().iter().map(RunKey::of).collect();
-    assert_eq!(base, policy_keys);
+    // Execution policy — threads, cache settings — lives in SweepOptions,
+    // which never reaches a key: a parallel, capacity-bounded sweep files
+    // its blobs under exactly the content keys.
+    let dir = temp_dir("policy");
+    let options = SweepOptions::new()
+        .threads(3)
+        .cache(dir.clone())
+        .cache_capacity(1_000);
+    sweep(&SweepRequest::new(matrix.clone()).with_options(options)).expect("sweep");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .collect();
+    names.sort();
+    let mut want: Vec<String> = base
+        .iter()
+        .map(|k| format!("{}.json", k.to_hex()))
+        .collect();
+    want.sort();
+    assert_eq!(names, want);
+    let _ = std::fs::remove_dir_all(&dir);
 
     // Content — budget, seed, mode set — always does.
     let mut budget = matrix.clone();
@@ -176,7 +190,7 @@ fn run_keys_follow_the_documented_canon() {
     //   {phase_seed}|{workload_seed}|{budget}|{config identity}.
     // Recompute it from public pieces for every point of a mixed
     // profile+kernel matrix; drift here silently orphans every cached
-    // blob and journal entry on disk.
+    // blob on disk.
     let mut matrix = small_matrix(1, 500);
     matrix
         .benchmarks
@@ -231,8 +245,6 @@ fn program_kernels_cache_and_parallelise_like_profiles() {
         phase_seeds: vec![1],
         workload_seed: WORKLOAD_SEED,
         budget: 400,
-        retries: 0,
-        run_timeout_ms: None,
     };
 
     // Kernel keys are distinct from each other and from the profile keys
@@ -307,68 +319,45 @@ fn overlapping_matrices_share_cache_entries() {
 }
 
 #[test]
-fn cache_composes_with_journaled_resume() {
+fn a_rerun_on_the_same_cache_resumes_a_killed_sweep() {
+    // A sweep killed part-way has stored the points it finished, and may
+    // leave a stray temporary file and a torn blob. Rerunning it on the
+    // same directory simulates exactly the points without a usable blob
+    // and renders the clean report.
     let dir = temp_dir("resume");
-    let journal = dir.join("sweep.jsonl");
     let matrix = small_matrix(2, 500);
-    let run_count = matrix.expand().len();
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let request =
+        SweepRequest::new(matrix).with_options(SweepOptions::new().threads(2).cache(dir.clone()));
+    let clean = sweep(&request).expect("clean sweep");
+    let run_count = clean.results.runs.len();
 
-    // Journal-only first pass.
-    let plain = sweep(
-        &SweepRequest::new(matrix.clone())
-            .with_options(SweepOptions::new().journal(journal.clone())),
-    )
-    .expect("journaled sweep");
+    let mut blobs: Vec<_> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    blobs.sort();
+    // Two points the killed sweep never finished, one blob torn mid-write
+    // and one temporary file it never renamed.
+    std::fs::remove_file(&blobs[0]).expect("unfinished point");
+    std::fs::remove_file(&blobs[1]).expect("unfinished point");
+    let text = std::fs::read_to_string(&blobs[2]).expect("blob");
+    std::fs::write(&blobs[2], &text[..text.len() / 2]).expect("tear");
+    let mut stray = blobs[3].clone().into_os_string();
+    stray.push(".tmp-1-0");
+    std::fs::write(&stray, &text[..text.len() / 3]).expect("stray");
 
-    // Tear the journal's tail, then resume WITH the cache armed: the torn
-    // point is a cache miss (nothing cached yet) and re-simulates; the
-    // rest pre-fill from the journal without touching the cache.
-    let text = std::fs::read_to_string(&journal).expect("journal");
-    std::fs::write(&journal, &text[..text.len() - 20]).expect("tear");
-    let resumed = sweep(
-        &SweepRequest::new(matrix.clone()).with_options(
-            SweepOptions::new()
-                .journal(journal.clone())
-                .resume(true)
-                .cache(dir.clone()),
-        ),
-    )
-    .expect("resumed sweep");
-    assert_eq!(resumed.simulated, 1, "only the torn point re-runs");
+    let resumed = sweep(&request).expect("resumed sweep");
+    assert_eq!(resumed.simulated, 3);
+    assert_eq!(resumed.cache.hits as usize, run_count - 3);
     assert_eq!(
-        resumed.cache.hits, 0,
-        "journal pre-fill wins over the cache"
+        resumed.cache.corrupt, 1,
+        "the torn blob; the stray is never read"
     );
-    assert_eq!(resumed.results.to_json(), plain.results.to_json());
+    assert_eq!(resumed.results.to_json(), clean.results.to_json());
 
-    // A fresh journal next to a warm cache: everything is a hit, and the
-    // journal converges (a later journal-only resume re-runs nothing).
-    let journal2 = dir.join("sweep2.jsonl");
-    let cached = sweep(
-        &SweepRequest::new(matrix.clone()).with_options(
-            SweepOptions::new()
-                .journal(journal2.clone())
-                .cache(dir.clone()),
-        ),
-    )
-    .expect("cached+journaled sweep");
-    assert_eq!(
-        cached.simulated,
-        run_count - 1,
-        "one point was never cached"
-    );
-    assert_eq!(
-        cached.cache.hits, 1,
-        "the torn point was cached by the resume"
-    );
-    let converged = sweep(
-        &SweepRequest::new(matrix)
-            .with_options(SweepOptions::new().journal(journal2.clone()).resume(true)),
-    )
-    .expect("journal-only resume");
-    assert_eq!(converged.simulated, 0, "cache hits were journaled");
-    assert_eq!(converged.results.to_json(), plain.results.to_json());
+    let warm = sweep(&request).expect("converged sweep");
+    assert_eq!(warm.simulated, 0);
+    assert_eq!(warm.results.to_json(), clean.results.to_json());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,18 +1,17 @@
 //! Fault-tolerant execution, proven end-to-end with deterministic fault
-//! injection (`--features chaos`): injected panics, wedges and stalls must
-//! be isolated to their own matrix point, surface as structured
+//! injection (`--features chaos`): injected panics and wedges must be
+//! isolated to their own matrix point, surface as structured
 //! [`RunStatus`] records, leave every *surviving* run bit-identical to a
 //! failure-free serial sweep, and converge to a bit-identical clean report
-//! through the journal's kill-and-resume path.
+//! when the sweep is rerun on the same cache.
 
 #![cfg(feature = "chaos")]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 use gals_sweep::{
-    run_sweep, run_sweep_with, DvfsPoint, FaultPlan, ModePoint, RunStatus, SweepMatrix,
-    SweepOptions, WORKLOAD_SEED,
+    sweep, DvfsPoint, FaultPlan, ModePoint, RunStatus, SweepMatrix, SweepOptions, SweepRequest,
+    SweepResponse, SweepResults, WORKLOAD_SEED,
 };
 use gals_workload::{Benchmark, ProgramKernel, Workload};
 use proptest::prelude::*;
@@ -43,16 +42,22 @@ fn small_matrix(seed: u64, budget: u64) -> SweepMatrix {
         phase_seeds: vec![seed],
         workload_seed: WORKLOAD_SEED,
         budget,
-        retries: 0,
-        run_timeout_ms: None,
     }
 }
 
-/// A unique temp path per call (tests share one process).
-fn temp_path(tag: &str) -> std::path::PathBuf {
+fn respond(matrix: &SweepMatrix, options: SweepOptions) -> SweepResponse {
+    sweep(&SweepRequest::new(matrix.clone()).with_options(options)).expect("sweep completes")
+}
+
+fn run(matrix: &SweepMatrix, options: SweepOptions) -> SweepResults {
+    respond(matrix, options).results
+}
+
+/// A unique temp directory per call (tests share one process).
+fn temp_dir(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     std::env::temp_dir().join(format!(
-        "gals-sweep-chaos-{}-{}-{tag}.jsonl",
+        "gals-sweep-chaos-{}-{}-{tag}",
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     ))
@@ -70,12 +75,12 @@ proptest! {
         threads in 1usize..5,
     ) {
         let matrix = small_matrix(phase_seed, 600);
-        let clean = run_sweep(&matrix, 1);
+        let clean = run(&matrix, SweepOptions::new());
         let faults = FaultPlan::seeded(fault_seed, clean.runs.len(), 1, 1);
-        let chaotic = run_sweep_with(
+        let chaotic = run(
             &matrix,
-            &SweepOptions::new().threads(threads).faults(faults.clone()),
-        ).expect("chaotic sweep still completes");
+            SweepOptions::new().threads(threads).faults(faults.clone()),
+        );
 
         prop_assert_eq!(chaotic.runs.len(), clean.runs.len());
         prop_assert_eq!(chaotic.failed_count(), 2);
@@ -107,7 +112,7 @@ fn faults_on_kernel_points_spare_the_points_sharing_their_program() {
     // build the shared program first, so a sibling must build it; the
     // wedge then runs on that shared program.
     let matrix = small_matrix(1, 600);
-    let clean = run_sweep(&matrix, 1);
+    let clean = run(&matrix, SweepOptions::new());
     assert_eq!(clean.runs.len(), 9);
     for threads in [1, 3] {
         let faults = FaultPlan {
@@ -115,11 +120,7 @@ fn faults_on_kernel_points_spare_the_points_sharing_their_program() {
             wedge_at: vec![7],
             ..FaultPlan::default()
         };
-        let chaotic = run_sweep_with(
-            &matrix,
-            &SweepOptions::new().threads(threads).faults(faults),
-        )
-        .expect("chaotic sweep still completes");
+        let chaotic = run(&matrix, SweepOptions::new().threads(threads).faults(faults));
         assert!(matches!(chaotic.runs[6].status, RunStatus::Panicked { .. }));
         assert!(matches!(
             chaotic.runs[7].status,
@@ -143,8 +144,8 @@ fn wedged_point_reports_a_deterministic_structured_deadlock() {
         ..FaultPlan::default()
     };
     let opts = SweepOptions::new().faults(faults);
-    let a = run_sweep_with(&matrix, &opts).expect("sweep a");
-    let b = run_sweep_with(&matrix, &opts).expect("sweep b");
+    let a = run(&matrix, opts.clone());
+    let b = run(&matrix, opts);
     let RunStatus::Deadlocked { report: ra } = &a.runs[wedge_index].status else {
         panic!("expected deadlock, got {:?}", a.runs[wedge_index].status);
     };
@@ -188,7 +189,7 @@ fn static_check_flags_exactly_the_points_the_runtime_wedges() {
         }
     }
 
-    let results = run_sweep_with(&matrix, &opts).expect("sweep");
+    let results = run(&matrix, opts);
     let RunStatus::Deadlocked { report } = &results.runs[wedge_index].status else {
         panic!(
             "expected deadlock, got {:?}",
@@ -200,77 +201,69 @@ fn static_check_flags_exactly_the_points_the_runtime_wedges() {
     assert!(json.contains("\"static_finding\": \"GA002\""), "{json}");
     // The spec-level `analysis` arrays stay empty: the wedge is an
     // execution-policy fault, not a property of the matrix point, so
-    // journaled resumes recompute records bit-identically.
+    // cached records recompute them bit-identically.
     assert!(!json.contains("\"analysis\""), "{json}");
-}
-
-#[test]
-fn stalled_point_times_out_without_poisoning_the_sweep() {
-    let matrix = small_matrix(1, 400);
-    // The deadline binds every point, and in a debug build the first
-    // kernel point also parses and executes the kernel, so it gets room.
-    let opts = SweepOptions::new()
-        .run_timeout(Duration::from_millis(1_000))
-        .faults(FaultPlan {
-            stall_at: vec![(0, 60_000)],
-            ..FaultPlan::default()
-        });
-    let results = run_sweep_with(&matrix, &opts).expect("sweep completes");
-    assert_eq!(results.runs[0].status, RunStatus::TimedOut);
-    assert_eq!(results.failed_count(), 1);
-    let clean = run_sweep(&matrix, 1);
-    for (got, want) in results.runs.iter().zip(clean.runs.iter()).skip(1) {
-        assert_eq!(got, want, "non-stalled runs are untouched");
-    }
 }
 
 #[test]
 fn killed_sweep_resumes_to_a_bit_identical_clean_report() {
     let matrix = small_matrix(2, 600);
-    let clean = run_sweep(&matrix, 1);
-    let path = temp_path("kill-resume");
+    let clean = run(&matrix, SweepOptions::new()).to_json();
+    let dir = temp_dir("kill-resume");
+    let cached = || SweepOptions::new().threads(2).cache(dir.clone());
 
-    // First invocation: one panic + one wedge, journaled.
-    let faulted = run_sweep_with(
+    // First invocation: one panic + one wedge. Only the `ok` records
+    // reach the cache.
+    let faulted = respond(
         &matrix,
-        &SweepOptions::new().journal(path.clone()).faults(FaultPlan {
+        cached().faults(FaultPlan {
             panic_at: vec![1],
             wedge_at: vec![4],
             ..FaultPlan::default()
         }),
-    )
-    .expect("faulted sweep completes");
-    assert_eq!(faulted.failed_count(), 2);
+    );
+    assert_eq!(faulted.results.failed_count(), 2);
+    assert_eq!(
+        faulted.cache.stores as usize,
+        faulted.results.runs.len() - 2
+    );
 
-    // Simulate dying mid-append: tear the journal's final line.
-    let text = std::fs::read_to_string(&path).expect("journal exists");
-    std::fs::write(&path, &text[..text.len() - 15]).expect("tear journal");
+    // Rerun without faults on the same cache: exactly the failed points
+    // simulate, and the report is a clean sweep's.
+    let resumed = respond(&matrix, cached());
+    assert_eq!(resumed.simulated, 2);
+    assert_eq!(resumed.results.failed_count(), 0);
+    assert_eq!(resumed.results.to_json(), clean);
 
-    // Resume without faults: only failed/missing points re-run, and the
-    // converged report is bit-identical to a clean sweep's.
-    let resumed = run_sweep_with(
-        &matrix,
-        &SweepOptions::new()
-            .journal(path.clone())
-            .resume(true)
-            .retries(1),
-    )
-    .expect("resumed sweep");
-    assert_eq!(resumed.failed_count(), 0);
-    assert_eq!(resumed.to_json(), clean.to_json());
+    // A killed sweep can leave a stray temporary file and a torn blob:
+    // the stray is never read, the torn blob is a miss that re-simulates,
+    // and the report does not change.
+    let mut blobs: Vec<_> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    blobs.sort();
+    let text = std::fs::read_to_string(&blobs[0]).expect("blob");
+    std::fs::write(&blobs[0], &text[..text.len() / 2]).expect("tear");
+    let mut stray = blobs[1].clone().into_os_string();
+    stray.push(".tmp-1-0");
+    std::fs::write(&stray, &text[..text.len() / 3]).expect("stray");
+    let repaired = respond(&matrix, cached());
+    assert_eq!(repaired.simulated, 1);
+    assert_eq!(repaired.cache.corrupt, 1);
+    assert_eq!(repaired.results.to_json(), clean);
 
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn an_unarmed_fault_plan_changes_nothing() {
     let matrix = small_matrix(3, 500);
-    let plain = run_sweep(&matrix, 2);
-    let chaos_built = run_sweep_with(
+    let plain = run(&matrix, SweepOptions::new().threads(2));
+    let chaos_built = run(
         &matrix,
-        &SweepOptions::new().threads(2).faults(FaultPlan::default()),
-    )
-    .expect("sweep");
+        SweepOptions::new().threads(2).faults(FaultPlan::default()),
+    );
     assert!(FaultPlan::default().is_empty());
     assert_eq!(plain.to_json(), chaos_built.to_json());
 }

@@ -14,9 +14,6 @@ fn example_matrix_file_parses_and_round_trips() {
     let matrix = SweepMatrix::from_json(EXAMPLE, 1_000).expect("example matrix must parse");
     // The file carries its own budget; the default must not leak in.
     assert_eq!(matrix.budget, 60_000);
-    // The documented execution-policy fields round-trip too.
-    assert_eq!(matrix.retries, 1);
-    assert_eq!(matrix.run_timeout_ms, Some(120_000));
 
     // It exercises every axis the docs describe: all three clocking
     // families, both pausible transfer models, a featured mode, and a

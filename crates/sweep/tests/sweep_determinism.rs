@@ -4,7 +4,10 @@
 //! including empty and singleton ones — renders a valid, schema-versioned
 //! report.
 
-use gals_sweep::{run_sweep, DvfsPoint, ModePoint, SweepMatrix, SCHEMA_VERSION, WORKLOAD_SEED};
+use gals_sweep::{
+    sweep, DvfsPoint, ModePoint, SweepMatrix, SweepOptions, SweepRequest, SweepResults,
+    SCHEMA_VERSION, WORKLOAD_SEED,
+};
 use gals_workload::{Benchmark, ProgramKernel, Workload};
 use proptest::prelude::*;
 
@@ -65,11 +68,16 @@ fn arb_matrix() -> impl Strategy<Value = SweepMatrix> {
                     phase_seeds: vec![seed],
                     workload_seed: WORKLOAD_SEED,
                     budget,
-                    retries: 0,
-                    run_timeout_ms: None,
                 }
             },
         )
+}
+
+fn run(matrix: &SweepMatrix, threads: usize) -> SweepResults {
+    let options = SweepOptions::new().threads(threads);
+    sweep(&SweepRequest::new(matrix.clone()).with_options(options))
+        .expect("a cache-less sweep has no fallible I/O")
+        .results
 }
 
 proptest! {
@@ -83,8 +91,8 @@ proptest! {
         matrix in arb_matrix(),
         threads in 2usize..6,
     ) {
-        let serial = run_sweep(&matrix, 1);
-        let parallel = run_sweep(&matrix, threads);
+        let serial = run(&matrix, 1);
+        let parallel = run(&matrix, threads);
         prop_assert_eq!(serial.runs.len(), parallel.runs.len());
         for (a, b) in serial.runs.iter().zip(parallel.runs.iter()) {
             prop_assert_eq!(a, b);
@@ -130,10 +138,8 @@ fn empty_matrix_still_emits_a_valid_schema_versioned_report() {
         phase_seeds: vec![],
         workload_seed: WORKLOAD_SEED,
         budget: 1_000,
-        retries: 0,
-        run_timeout_ms: None,
     };
-    let results = run_sweep(&matrix, 4);
+    let results = run(&matrix, 4);
     assert!(results.runs.is_empty());
     let json = results.to_json();
     assert_valid_report(&json);
@@ -149,10 +155,8 @@ fn singleton_matrix_emits_one_run_and_empty_tables() {
         phase_seeds: vec![1],
         workload_seed: WORKLOAD_SEED,
         budget: 500,
-        retries: 0,
-        run_timeout_ms: None,
     };
-    let results = run_sweep(&matrix, 4);
+    let results = run(&matrix, 4);
     assert_eq!(results.runs.len(), 1);
     assert_eq!(results.runs[0].committed, 500);
     let json = results.to_json();
@@ -175,10 +179,8 @@ fn more_threads_than_runs_is_fine() {
         phase_seeds: vec![1, 2],
         workload_seed: WORKLOAD_SEED,
         budget: 500,
-        retries: 0,
-        run_timeout_ms: None,
     };
-    let a = run_sweep(&matrix, 64);
-    let b = run_sweep(&matrix, 1);
+    let a = run(&matrix, 64);
+    let b = run(&matrix, 1);
     assert_eq!(a.to_json(), b.to_json());
 }
