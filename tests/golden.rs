@@ -11,7 +11,13 @@
 //! and a last `report <FNV-1a>` line over the whole rendered report, which
 //! pins the derived tables too.
 //!
-//! On a mismatch the test writes the regenerated file under
+//! The run JSON rounds some floats, so `tests/GOLDEN_simreports.txt` pins
+//! the full `SimReport` of every point of the same matrix, simulated
+//! directly: one `<RunKey> <FNV-1a of the report's Debug rendering>` line
+//! per point. Rust's float `Debug` output round-trips, so every f64 bit is
+//! pinned.
+//!
+//! On a mismatch a test writes the regenerated file under
 //! `CARGO_TARGET_TMPDIR` and fails naming the first differing run key. A
 //! deliberate behaviour change copies that file over the checked-in one
 //! and says why in CHANGES.md.
@@ -19,9 +25,10 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use gals::core::{simulate, SimLimits};
 use gals::sweep::stable_hash::{fnv1a, hex16};
-use gals::sweep::{sweep, SweepMatrix, SweepOptions, SweepRequest};
-use gals::workload::{ProgramKernel, Workload};
+use gals::sweep::{sweep, RunSpec, SweepMatrix, SweepOptions, SweepRequest};
+use gals::workload::{generate_workload, ProgramKernel, Workload};
 
 fn matrix() -> SweepMatrix {
     let mut matrix = SweepMatrix::paper_default(2_000);
@@ -54,16 +61,39 @@ fn render() -> String {
     out
 }
 
-#[test]
-fn sweep_output_matches_the_golden_file() {
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/GOLDEN_reports.txt");
+fn render_simreports() -> String {
+    let specs = matrix().expand();
+    let render = |specs: &[RunSpec]| {
+        let mut out = String::new();
+        for spec in specs {
+            let program = generate_workload(spec.benchmark, spec.workload_seed);
+            let report = simulate(&program, spec.config(), SimLimits::insts(spec.budget))
+                .unwrap_or_else(|e| panic!("{} fails: {e}", spec.key().to_hex()));
+            let digest = fnv1a(format!("{report:?}").as_bytes());
+            let _ = writeln!(out, "{} {}", spec.key().to_hex(), hex16(digest));
+        }
+        out
+    };
+    let (first, second) = specs.split_at(specs.len() / 2);
+    std::thread::scope(|s| {
+        let tail = s.spawn(|| render(second));
+        render(first) + &tail.join().expect("render the second half")
+    })
+}
+
+/// Compares `got` with the checked-in `tests/<name>`; on a mismatch writes
+/// `got` under `CARGO_TARGET_TMPDIR` and panics naming the first differing
+/// key.
+fn check_golden(name: &str, got: &str) {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join(name);
     let want = std::fs::read_to_string(&golden).unwrap_or_default();
-    let got = render();
     if got == want {
         return;
     }
-    let fresh = Path::new(env!("CARGO_TARGET_TMPDIR")).join("GOLDEN_reports.txt");
-    std::fs::write(&fresh, &got).expect("write the regenerated golden file");
+    let fresh = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&fresh, got).expect("write the regenerated golden file");
     let (mut got_lines, mut want_lines) = (got.lines(), want.lines());
     let first = loop {
         match (got_lines.next(), want_lines.next()) {
@@ -72,9 +102,19 @@ fn sweep_output_matches_the_golden_file() {
         }
     };
     panic!(
-        "sweep output differs from {} first at key {}; the regenerated file is {}",
+        "output differs from {} first at key {}; the regenerated file is {}",
         golden.display(),
         first.split(' ').next().unwrap_or_default(),
         fresh.display(),
     );
+}
+
+#[test]
+fn sweep_output_matches_the_golden_file() {
+    check_golden("GOLDEN_reports.txt", &render());
+}
+
+#[test]
+fn simreports_match_the_golden_file() {
+    check_golden("GOLDEN_simreports.txt", &render_simreports());
 }
