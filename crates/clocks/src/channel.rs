@@ -262,44 +262,6 @@ impl<T> Channel<T> {
         Some((slot.item, residency))
     }
 
-    /// The earliest edge of a *periodic consumer* (first edge at `phase`,
-    /// then every `period`) at which the current front item becomes
-    /// poppable — i.e. the first grid edge satisfying both visibility
-    /// constraints of [`Channel::try_pop`] (`now >= pushed_at + fwd_delay`
-    /// and `now > pushed_at`). Returns `None` for an empty channel.
-    ///
-    /// This is what lets a scheduler *elide* the consumer's idle edges:
-    /// the pop an elided edge would have performed can be replayed later at
-    /// exactly this timestamp (see the idle-tick elision notes in
-    /// `gals_events`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn front_pop_time(&self, phase: Time, period: Time) -> Option<Time> {
-        assert!(period > Time::ZERO, "consumer grid period must be non-zero");
-        let bound = self.front_pop_bound()?;
-        if bound <= phase {
-            return Some(phase);
-        }
-        let delta = bound.as_fs() - phase.as_fs();
-        let k = delta.div_ceil(period.as_fs());
-        Some(phase + period * k)
-    }
-
-    /// Earliest instant the current front item could legally pop on *any*
-    /// consumer (visible, and strictly after the pushing edge) — a cheap
-    /// lower bound on [`Channel::front_pop_time`] that needs no division,
-    /// for callers that first test whether a pop could possibly be due.
-    #[inline]
-    pub fn front_pop_bound(&self) -> Option<Time> {
-        let front = self.slots.front()?;
-        Some(
-            self.visible_from(front.pushed_at)
-                .max(front.pushed_at + Time::from_fs(1)),
-        )
-    }
-
     /// Peeks the oldest visible item without removing it.
     pub fn peek(&self, now: Time) -> Option<&T> {
         let front = self.slots.front()?;
@@ -456,32 +418,6 @@ mod tests {
         ch.try_push(2, Time::from_fs(NS)).unwrap();
         assert_eq!(ch.clear(Time::from_fs(NS)), 2);
         assert!(ch.is_empty());
-    }
-
-    #[test]
-    fn front_pop_time_matches_try_pop_visibility() {
-        // FIFO with a 1 ns forward delay; consumer edges at 0.3 ns + n ns.
-        let phase = Time::from_ps(300);
-        let period = Time::from_fs(NS);
-        let mut ch: Channel<u32> = Channel::mixed_clock_fifo(4, Time::from_fs(NS), Time::ZERO);
-        assert_eq!(ch.front_pop_time(phase, period), None);
-        ch.try_push(9, Time::from_fs(10 * NS)).unwrap();
-        // Visible from 11 ns; first consumer edge at or after that is 11.3.
-        let e = ch.front_pop_time(phase, period).unwrap();
-        assert_eq!(e, Time::from_fs(11 * NS + 300_000));
-        // The computed edge is exactly the first edge at which try_pop works.
-        assert_eq!(ch.clone().try_pop(e - period), None);
-        assert_eq!(ch.try_pop(e), Some(9));
-
-        // Zero-delay latch: an item pushed exactly on a grid edge must wait
-        // for the *next* edge (strictly-after-push rule).
-        let mut latch: Channel<u32> = Channel::sync_latch(4);
-        latch.try_push(1, phase).unwrap();
-        assert_eq!(
-            latch.front_pop_time(phase, period),
-            Some(phase + period),
-            "same-edge reads are forbidden even with no sync delay"
-        );
     }
 
     #[test]

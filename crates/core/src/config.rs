@@ -28,7 +28,7 @@ pub enum Clocking {
     /// [`PausibleModel::Latched`] keeps full latch capacity (only the
     /// handshake timing is charged), [`PausibleModel::Rendezvous`] strips
     /// every crossing to a single-entry rendezvous port, so producers
-    /// block — park-and-retry, woken by the consuming pop — while a port
+    /// block — retrying every cycle until the consuming pop — while a port
     /// is occupied, charging the capacity cost of unbuffered handshakes
     /// too (reported per domain in `SimReport::rendezvous_blocked`).
     Pausible {

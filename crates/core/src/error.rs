@@ -7,10 +7,9 @@
 //! * **Invalid configuration** is rejected by [`simulate`](crate::simulate)
 //!   before any pipeline state is built, so a mis-configured matrix point
 //!   costs nothing and cannot poison a shared sweep.
-//! * **Deadlock** — no commit inside the watchdog window, or every domain
-//!   clock parked with the run unfinished — ends the run with a
-//!   [`DeadlockReport`]: a deterministic snapshot of the stuck machine
-//!   (parked clocks, channel and rendezvous-port occupancy, ROB/IQ heads,
+//! * **Deadlock** — no commit inside the commit watchdog's window — ends
+//!   the run with a [`DeadlockReport`]: a deterministic snapshot of the
+//!   stuck machine (channel and rendezvous-port occupancy, ROB/IQ heads,
 //!   last-commit time). The same hung configuration produces the same
 //!   report bit-for-bit, so a wedge found in a sweep is reproducible from
 //!   its recorded diagnostics alone.
@@ -19,30 +18,6 @@ use std::fmt;
 
 use gals_analysis::Finding;
 use gals_events::Time;
-
-/// What ended a deadlocked run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlockTrigger {
-    /// The commit watchdog fired: no instruction committed for
-    /// [`SimLimits::watchdog_cycles`](crate::SimLimits) slow-domain periods
-    /// while at least one domain clock kept ticking.
-    Watchdog,
-    /// Idle-tick elision parked all five domain clocks with the run
-    /// unfinished. Parked clocks can only be woken by another domain's
-    /// tick, so an all-parked unfinished machine can never make progress —
-    /// this is the elision-aware equivalent of an empty event queue.
-    AllParked,
-}
-
-impl DeadlockTrigger {
-    /// Stable lowercase label (used in JSON artifacts).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DeadlockTrigger::Watchdog => "watchdog",
-            DeadlockTrigger::AllParked => "all-parked",
-        }
-    }
-}
 
 /// Occupancy of one inter-domain channel or rendezvous port at deadlock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,15 +40,12 @@ impl fmt::Display for PortState {
 /// Deterministic snapshot of the pipeline at the instant a deadlock was
 /// detected.
 ///
-/// Built once, by the first tick that trips the watchdog (or by the driver
-/// when the last live clock parks), from state that is itself a pure
+/// Built once, by the first tick that trips the commit watchdog, from state that is itself a pure
 /// function of the configuration and workload seed — so re-running the same
 /// point reproduces the same report exactly, which the chaos-mode tests
 /// pin.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeadlockReport {
-    /// Which detector ended the run.
-    pub trigger: DeadlockTrigger,
     /// Simulated time at detection.
     pub now: Time,
     /// Simulated time of the last commit (`Time::ZERO` if nothing ever
@@ -83,10 +55,6 @@ pub struct DeadlockReport {
     pub watchdog_cycles: u64,
     /// Instructions committed before the machine wedged.
     pub committed: u64,
-    /// Which domain clocks the driver had parked, indexed by
-    /// [`Domain::index`](gals_clocks::Domain) (all `false` under the
-    /// engine driver, which never elides).
-    pub parked: [bool; 5],
     /// ROB occupancy.
     pub rob_len: usize,
     /// Sequence number of the ROB head — the instruction commit is stuck
@@ -130,25 +98,13 @@ impl fmt::Display for DeadlockReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "deadlock ({}) at {}: no commit since {} ({} committed, window {} cycles)",
-            self.trigger.as_str(),
-            self.now,
-            self.last_commit_time,
-            self.committed,
-            self.watchdog_cycles,
+            "deadlock (watchdog) at {}: no commit since {} ({} committed, window {} cycles)",
+            self.now, self.last_commit_time, self.committed, self.watchdog_cycles,
         )?;
-        let parked: Vec<&str> = ["fetch", "decode", "int", "fp", "mem"]
-            .iter()
-            .zip(self.parked.iter())
-            .filter_map(|(name, &p)| p.then_some(*name))
-            .collect();
         writeln!(
             f,
-            "  parked=[{}] rob={} head_seq={:?} decode_buf={}",
-            parked.join(","),
-            self.rob_len,
-            self.rob_head_seq,
-            self.decode_buf_len,
+            "  rob={} head_seq={:?} decode_buf={}",
+            self.rob_len, self.rob_head_seq, self.decode_buf_len,
         )?;
         writeln!(
             f,

@@ -58,7 +58,7 @@ pub use analysis::{analyze, comm_graph};
 #[cfg(feature = "chaos")]
 pub use config::ChaosFaults;
 pub use config::{Clocking, DvfsPlan, ProcessorConfig, SimLimits};
-pub use error::{DeadlockReport, DeadlockTrigger, PortState, SimError};
+pub use error::{DeadlockReport, PortState, SimError};
 pub use gals_analysis::{codes, AnalysisReport, Finding, Severity};
 pub use inflight::{
     BranchInfo, FetchedInstr, InFlightCold, InFlightTable, InstrId, Redirect, RetiredInstr,

@@ -27,18 +27,14 @@
 //! [`InstrId`] handle. See `crate::inflight` for the hot/cold
 //! struct-of-arrays layout and the stale-handle semantics.
 //!
-//! ## Quiescence and idle-tick elision
+//! ## Driving the pipeline
 //!
-//! [`Pipeline::quiescent`] reports when a domain's next tick is provably a
-//! pure *idle tick* — advancing only its cycle counter, idle energy and
-//! occupancy samples, all of which [`Pipeline::replay_idle`] can apply
-//! later in bulk, bit-identically. The `ClockSet` driver in `crate::sim`
-//! uses this to park quiescent domain clocks and fast-forward them to the
-//! next wake event; [`Pipeline::take_wake_mask`] surfaces the wake edges
-//! (channel pushes into the domain, a fetch-side L2 touch for the memory
-//! cluster). The general-engine oracle never elides, and the differential
-//! tests pin that the two reports stay bit-identical — see the idle-tick
-//! elision contract in `gals_events`.
+//! Each domain edge calls [`Pipeline::tick`], which runs that domain's
+//! stage logic in full: there are no skipped or deferred edges, so an idle
+//! domain still advances its cycle counter, charges its idle energy and
+//! samples its occupancies on every edge. Both drivers in `crate::sim`
+//! dispatch every edge of all five clocks, in the same `(time, priority)`
+//! order.
 //!
 //! ## Modelling notes (divergences from RTL truth)
 //!
@@ -62,7 +58,7 @@ use gals_power::{MacroBlock, PowerAccountant};
 use gals_uarch::{BranchPredictor, Cache, FuPool, IssueQueue, RenameUnit, Rob, StoreBuffer};
 
 use crate::config::{Clocking, ProcessorConfig, SimLimits};
-use crate::error::{DeadlockReport, DeadlockTrigger, PortState};
+use crate::error::{DeadlockReport, PortState};
 use crate::inflight::{
     BranchInfo, FetchedInstr, InFlightTable, InstrId, Redirect, SrcTags, Tag, TAG_SPACE,
 };
@@ -125,7 +121,7 @@ struct ClusterState {
     picked_scratch: Vec<u64>,
     /// Per-tick scratch: `(token, seq, latency)` of admitted instructions.
     latency_scratch: Vec<(u64, u64, u64)>,
-    /// Rendezvous mode only: finished executions whose writeback is parked
+    /// Rendezvous mode only: finished executions whose writeback waits
     /// on an occupied outbound port (completion, wakeup or redirect), as
     /// `(seq, id)` in program order. Retried every tick; always empty in
     /// the latched machines.
@@ -227,7 +223,7 @@ pub struct Pipeline<'p> {
     stretch_handshake: Option<Time>,
     /// Rendezvous pausible mode (`PausibleModel::Rendezvous`): every
     /// inter-domain channel is a single-entry rendezvous port and the push
-    /// sites park-and-retry against an occupied port. `false` everywhere
+    /// sites wait and retry against an occupied port. `false` everywhere
     /// else (the counters below then stay zero).
     rendezvous: bool,
     /// Cycles in which a domain's stage made *no* progress because its
@@ -268,9 +264,8 @@ pub struct Pipeline<'p> {
     /// Precomputed watchdog window (`max domain period × watchdog_cycles`);
     /// `Time::MAX` disables (the per-tick check is a compare, not a scan).
     watchdog_span: Time,
-    /// Set (once) when the machine is detected wedged — by the commit
-    /// watchdog or by the driver's all-parked check. [`Pipeline::done`]
-    /// then reports the run finished so both drivers exit their loops, and
+    /// Set (once) when the commit watchdog detects the machine wedged.
+    /// [`Pipeline::done`] then reports the run finished so both drivers exit their loops, and
     /// they surface the report as `SimError::Deadlock` instead of a
     /// `SimReport`.
     deadlock: Option<Box<DeadlockReport>>,
@@ -281,57 +276,6 @@ pub struct Pipeline<'p> {
     fetch_cycles: u64,
     pub(crate) accountant: PowerAccountant,
     now: Time,
-
-    // ---- idle-tick elision (ClockSet driver only; see module docs) ----
-    /// Domains whose parked clock must wake now, as a `1 << Domain::index`
-    /// mask. Raised by channel pushes into the domain and by the fetch-side
-    /// L2 touch; drained by the driver after every tick.
-    wake_mask: u8,
-    /// Domains whose tick just ended quiescent, as a `1 << Domain::index`
-    /// mask: each tick re-evaluates its own cheap quiescence conditions on
-    /// the way out (the activity flags are already at hand), so the driver
-    /// parks on the first idle tick instead of polling
-    /// [`Pipeline::quiescent`].
-    quiesced_mask: u8,
-    /// Driver-maintained mirror of which domain clocks are parked.
-    parked: [bool; 5],
-    /// Why fetch parked (see [`Pipeline::set_parked`]): `true` when it was
-    /// blocked on a full fetch→decode channel, so elided ticks replay as
-    /// repeated I-cache hits instead of idle cycles.
-    fetch_park_blocked: bool,
-    /// ROB and RAT occupancies frozen when decode parked: the elided
-    /// decode ticks sample these values (a recovery squash in the very
-    /// instant decode is woken mutates both, but strictly after every
-    /// elided tick).
-    decode_park_occ: (usize, u32),
-    /// Why decode parked (rendezvous mode only): `true` when the rename
-    /// head was blocked on a saturated dispatch rendezvous port, so every
-    /// elided decode tick replays one `rendezvous_blocked` cycle (the live
-    /// tick's rename loop would have broken at the port).
-    decode_park_blocked: bool,
-    /// Per-channel cursors over a *parked* cluster's virtual edge grid —
-    /// `[from][to]`, the next edge at or after the channel's last replayed
-    /// wakeup pop. Each channel's pops replay in time order (cross-channel
-    /// interleaving is irrelevant: only the per-pop edge matters), so
-    /// advancing a cursor by whole periods replaces a ceiling division
-    /// per pop.
-    virtual_edge: [[Time; 3]; 3],
-    /// Fetch-side L2 touches charged while the memory cluster is parked:
-    /// the number of distinct (elided) memory-cluster edges that would
-    /// have consumed the `l2_touched` flag, and the last such edge. The
-    /// accountant is count-based, so replaying these as active-L2 cycles
-    /// at unpark is bit-identical to the unelided schedule (see
-    /// `replay_idle`).
-    parked_l2_charges: u64,
-    parked_l2_last_edge: Time,
-    /// Per-domain `(first edge, period)` when the clock grids are static
-    /// (synchronous and FIFO-GALS machines); `None` under pausible
-    /// clocking, whose stretches shift the grids. A static grid lets a
-    /// *parked* cluster keep absorbing broadcast wakeup tags exactly: the
-    /// elided pop times are computable, so tag pops are replayed at decode
-    /// ticks (before any rename touches the ready bits) instead of waking
-    /// the cluster — see [`Pipeline::catch_up_parked_wakeups`].
-    static_grid: Option<[(Time, Time); 5]>,
 }
 
 impl<'p> Pipeline<'p> {
@@ -387,13 +331,6 @@ impl<'p> Pipeline<'p> {
         let mut stream = DynStream::new(program);
         let peeked = stream.next();
         let fetch_pc = peeked.as_ref().map_or(EXIT_PC, |d| d.pc);
-        let static_grid = match &cfg.clocking {
-            Clocking::Pausible { .. } => None,
-            _ => Some(std::array::from_fn(|i| {
-                let clock = cfg.clocking.domain_clock(Domain::ALL[i]);
-                (clock.phase, clock.period)
-            })),
-        };
 
         Pipeline {
             ch_fetch_decode: mk_data_channel(Domain::Fetch, Domain::Decode, cfg.channel_capacity),
@@ -477,16 +414,6 @@ impl<'p> Pipeline<'p> {
             cfg,
             limits,
             now: Time::ZERO,
-            wake_mask: 0,
-            quiesced_mask: 0,
-            parked: [false; 5],
-            fetch_park_blocked: false,
-            decode_park_occ: (0, 0),
-            decode_park_blocked: false,
-            virtual_edge: [[Time::ZERO; 3]; 3],
-            parked_l2_charges: 0,
-            parked_l2_last_edge: Time::MAX,
-            static_grid,
         }
     }
 
@@ -508,16 +435,6 @@ impl<'p> Pipeline<'p> {
                 PausibleModel::Latched => Channel::sync_latch(cap),
                 PausibleModel::Rendezvous => Channel::rendezvous(),
             },
-        }
-    }
-
-    /// Raises the wake edge of a domain. Gated on the domain actually
-    /// being parked, so the steady-state (nothing parked) cost is one
-    /// predictable branch and the driver's wake drain stays empty.
-    #[inline]
-    fn note_wake(&mut self, domain: Domain) {
-        if self.parked[domain.index()] {
-            self.wake_mask |= 1 << domain.index();
         }
     }
 
@@ -549,7 +466,7 @@ impl<'p> Pipeline<'p> {
     /// The tags themselves still travel individually. No-op difference
     /// outside pausible mode, where `note_transfer` charges nothing.
     #[inline]
-    fn note_wakeup_transfer(&mut self, ci: usize, to: usize) {
+    fn note_tag_transfer(&mut self, ci: usize, to: usize) {
         if self.stretch_handshake.is_some() && self.cfg.coalesce_wakeup_stretch {
             let cycle = self.clusters[ci].cycle;
             if self.wakeup_stretch_cycle[ci][to] == cycle {
@@ -574,24 +491,6 @@ impl<'p> Pipeline<'p> {
         Some(std::mem::take(&mut self.pending_stretch))
     }
 
-    /// Drains the wake edges raised since the last call, as a
-    /// `1 << Domain::index` mask. The `ClockSet` driver unparks (and
-    /// back-fills, via [`Pipeline::replay_idle`]) any parked domain whose
-    /// bit is set; bits for running domains are meaningless and ignored.
-    #[inline]
-    pub fn take_wake_mask(&mut self) -> u8 {
-        std::mem::take(&mut self.wake_mask)
-    }
-
-    /// Drains the quiescent-tick reports raised since the last call, as a
-    /// `1 << Domain::index` mask (see `quiesced_mask`). A set bit means
-    /// the domain's most recent tick ended with [`Pipeline::quiescent`]
-    /// true — the driver may park its clock.
-    #[inline]
-    pub fn take_quiesced_mask(&mut self) -> u8 {
-        std::mem::take(&mut self.quiesced_mask)
-    }
-
     /// True once the run is finished (instruction budget met, program
     /// fully drained, or a deadlock was detected — see
     /// [`Pipeline::take_deadlock`]).
@@ -602,371 +501,6 @@ impl<'p> Pipeline<'p> {
     /// Committed instructions so far.
     pub fn committed(&self) -> u64 {
         self.committed
-    }
-
-    // ------------------------------------------------------------------
-    // Quiescence, parking and idle-tick replay (ClockSet driver support)
-    // ------------------------------------------------------------------
-
-    /// True when `domain`'s next tick is provably a pure idle tick — and
-    /// will stay one until a wake edge ([`Pipeline::take_wake_mask`])
-    /// arrives from another domain. The driver may then park the domain's
-    /// clock and later replay the elided ticks with
-    /// [`Pipeline::replay_idle`].
-    ///
-    /// This is the conservative core predicate. The actual park decisions
-    /// come from each tick's own quiescence report
-    /// ([`Pipeline::take_quiesced_mask`]): the fetch and cluster ticks
-    /// report exactly this predicate, while the decode tick reports a
-    /// *wider* condition — it may also park with a non-empty ROB or
-    /// decode buffer when this tick did nothing and the stalled rename
-    /// head waits on a resource only another domain's (wake-raising)
-    /// push or pop can release; see `decode_stall_is_external` in
-    /// `tick_decode`.
-    ///
-    /// The conditions here are conservative by construction:
-    ///
-    /// * every domain: no pending (undrained) pausible stretch;
-    /// * fetch: no redirect in flight, no I-cache fill counting down, and
-    ///   nothing to fetch (front end halted, recovery pending, or the
-    ///   cursor parked at the exit sentinel) — a fetch stalled on a *full*
-    ///   output channel still probes the I-cache every cycle, so it is
-    ///   never quiescent;
-    /// * decode: ROB, decode buffer and every inbound channel empty;
-    /// * clusters: issue queue, execution list, port-parked writeback
-    ///   list (rendezvous mode) and inbound dispatch
-    ///   channel empty — plus, for the memory cluster, no store-buffer
-    ///   residue and no pending fetch-side L2 touch. Inbound *wakeup-tag*
-    ///   channels must also be empty under pausible clocking; with static
-    ///   clock grids the elided tag pops are replayed exactly instead
-    ///   (see `Pipeline::catch_up_parked_wakeups`).
-    pub fn quiescent(&self, domain: Domain) -> bool {
-        if self.pending_stretch[domain.index()] > Time::ZERO {
-            return false;
-        }
-        match domain {
-            Domain::Fetch => {
-                let pc = if self.wrong_path {
-                    self.wrong_pc
-                } else {
-                    self.fetch_pc
-                };
-                self.ch_redirect.is_empty()
-                    && self.icache_stall == 0
-                    && (self.fetch_halted
-                        || self.pending_recovery.is_some()
-                        || pc == EXIT_PC
-                        // Blocked on a full output channel: occupancy alone
-                        // blocks the producer (no full-flag sync can clear
-                        // without a pop, which wakes us), and each blocked
-                        // tick is a repeated same-line I-cache hit — pure,
-                        // replayable activity as long as the line is
-                        // resident.
-                        || (self.ch_fetch_decode.len() >= self.ch_fetch_decode.capacity()
-                            && self.icache.probe(pc)))
-            }
-            Domain::Decode => {
-                self.rob.is_empty()
-                    && self.decode_buf.is_empty()
-                    && self.ch_fetch_decode.is_empty()
-                    && self.ch_complete.iter().all(|c| c.is_empty())
-            }
-            Domain::IntCluster | Domain::FpCluster | Domain::MemCluster => {
-                let ci = domain.index() - 2;
-                let cl = &self.clusters[ci];
-                cl.iq.is_empty()
-                    && cl.executing.is_empty()
-                    && cl.writeback_pending.is_empty()
-                    && self.ch_dispatch[ci].is_empty()
-                    && (self.static_grid.is_some()
-                        || (0..3).all(|from| from == ci || self.ch_wakeup[from][ci].is_empty()))
-                    && (ci != 2 || (!self.l2_touched && self.store_buffer.is_empty()))
-            }
-        }
-    }
-
-    /// Records that the driver parked / unparked `domain`'s clock (the
-    /// pipeline needs the mirror to route broadcast wakeup tags around a
-    /// parked cluster — see `Pipeline::catch_up_parked_wakeups`).
-    pub fn set_parked(&mut self, domain: Domain, parked: bool) {
-        self.parked[domain.index()] = parked;
-        if parked && domain.index() >= 2 {
-            if let Some(grids) = self.static_grid {
-                // First elided edge: parking happens at the cluster's own
-                // tick, so its next edge is strictly after `now`.
-                let (phase, period) = grids[domain.index()];
-                let first = grid_ceil(phase, period, self.now + Time::from_fs(1));
-                let ci = domain.index() - 2;
-                for from in 0..3 {
-                    self.virtual_edge[from][ci] = first;
-                }
-            }
-        }
-        if domain == Domain::Decode && parked {
-            self.decode_park_occ = (
-                self.rob.len(),
-                self.rename.int_occupancy() + self.rename.fp_occupancy(),
-            );
-            // Remember whether the rename head parked on a saturated
-            // dispatch rendezvous port: every elided decode tick would
-            // have broken at that port and charged one blocked cycle.
-            // The state this reads cannot change while the clock is
-            // parked (the releasing pop raises a decode wake).
-            self.decode_park_blocked = self.rendezvous && self.decode_head_blocked_on_port();
-        }
-        if domain == Domain::Fetch && parked {
-            // Remember *why* fetch parked: a fetch blocked on a full
-            // output channel replays active (repeat-hit) I-cache cycles,
-            // an empty front end replays idle ones. The state this reads
-            // cannot change while the clock is parked.
-            let pc = if self.wrong_path {
-                self.wrong_pc
-            } else {
-                self.fetch_pc
-            };
-            self.fetch_park_blocked =
-                !(self.fetch_halted || self.pending_recovery.is_some() || pc == EXIT_PC);
-        }
-    }
-
-    /// Number of fetch ticks that are provably pure I-cache-fill countdown
-    /// — the whole remaining stall, when no redirect can arrive during it
-    /// (no misprediction is outstanding, so nothing can be pushed into the
-    /// redirect channel). The driver may skip that many fetch edges
-    /// wholesale and apply them through [`Pipeline::replay_fetch_stall`];
-    /// each skipped tick would only have decremented the stall counter and
-    /// charged one active-I-cache cycle. Returns 0 when the next fetch
-    /// tick does anything else.
-    pub fn fetch_stall_skip(&self) -> u32 {
-        if self.icache_stall > 1
-            && !self.wrong_path
-            && self.pending_recovery.is_none()
-            && self.ch_redirect.is_empty()
-            && self.pending_stretch[Domain::Fetch.index()] == Time::ZERO
-        {
-            // Leave the final countdown tick to run live: it is the edge
-            // whose successor resumes real fetching, and running it keeps
-            // the skip logic trivially off the resume path.
-            self.icache_stall - 1
-        } else {
-            0
-        }
-    }
-
-    /// Applies `ticks` skipped I-cache-stall fetch ticks in O(1): the
-    /// stall counter advances and each tick charges exactly what the live
-    /// countdown tick charges (domain + global grids, *active* I-cache,
-    /// idle branch predictor). Exact-integer counts, so the bulk
-    /// application is bit-identical to the live schedule.
-    pub fn replay_fetch_stall(&mut self, ticks: u32) {
-        if ticks == 0 {
-            return;
-        }
-        debug_assert!(ticks < self.icache_stall, "skip must leave a live tick");
-        self.icache_stall -= ticks;
-        let n = u64::from(ticks);
-        self.fetch_cycles += n;
-        self.accountant.tick_domain_n(Domain::Fetch, n);
-        if self.cfg.clocking.is_synchronous() {
-            self.accountant.tick_global_n(n);
-        }
-        self.accountant.block_cycles_n(MacroBlock::ICache, true, n);
-        self.accountant
-            .block_cycles_n(MacroBlock::BranchPredictor, false, n);
-    }
-
-    /// Replays `ticks` elided idle ticks of a parked domain in O(1):
-    /// exactly the counter, idle-energy and occupancy-sample updates the
-    /// real ticks would have performed while the domain was quiescent.
-    /// All of these are exact integer counts (the accountant defers the
-    /// energy arithmetic to report time), so the bulk application is
-    /// bit-identical to the unelided schedule.
-    ///
-    /// `next_edge` is the first edge that will dispatch live (from
-    /// `ClockSet::unpark`/`drain_parked`): the memory cluster uses it to
-    /// decide whether the last deferred fetch-side L2 charge belongs to an
-    /// elided edge or to the live tick about to run.
-    pub fn replay_idle(&mut self, domain: Domain, ticks: u64, next_edge: Time) {
-        if domain == Domain::MemCluster {
-            // Deferred fetch-side L2 touches: every deferred charge whose
-            // consuming edge was elided becomes an active-L2 cycle in the
-            // replay; a charge pinned to `next_edge` (or later) is handed
-            // back to the live tick through the still-set `l2_touched`
-            // flag. Counts, not floats — bit-identical either way.
-            let mut active = self.parked_l2_charges;
-            if active > 0 {
-                if self.parked_l2_last_edge >= next_edge {
-                    active -= 1; // consumed by the live tick via l2_touched
-                } else {
-                    self.l2_touched = false; // all consumed among elided
-                }
-            }
-            self.parked_l2_charges = 0;
-            self.parked_l2_last_edge = Time::MAX;
-            debug_assert!(active <= ticks, "more L2 charges than elided edges");
-            if ticks == 0 {
-                return;
-            }
-            self.clusters[2].cycle += ticks;
-            self.accountant.tick_domain_n(domain, ticks);
-            self.clusters[2].iq.sample_occupancy_n(ticks);
-            self.accountant
-                .block_cycles_n(MacroBlock::MemIssueWindow, false, ticks);
-            self.accountant
-                .block_cycles_n(MacroBlock::DCache, false, ticks);
-            self.accountant
-                .block_cycles_n(MacroBlock::L2Cache, true, active);
-            self.accountant
-                .block_cycles_n(MacroBlock::L2Cache, false, ticks - active);
-            self.store_buffer.sample_occupancy_n(ticks);
-            return;
-        }
-        if ticks == 0 {
-            return;
-        }
-        match domain {
-            Domain::Fetch => {
-                self.fetch_cycles += ticks;
-                self.accountant.tick_domain_n(Domain::Fetch, ticks);
-                if self.cfg.clocking.is_synchronous() {
-                    self.accountant.tick_global_n(ticks);
-                }
-                if self.fetch_park_blocked {
-                    // Blocked-on-full-channel flavour: every elided tick
-                    // re-accessed the resident line and charged an active
-                    // I-cache cycle — and, on a rendezvous port, counted
-                    // one blocked cycle at the failed `can_push`.
-                    if self.rendezvous {
-                        self.rendezvous_blocked[Domain::Fetch.index()] += ticks;
-                    }
-                    let pc = if self.wrong_path {
-                        self.wrong_pc
-                    } else {
-                        self.fetch_pc
-                    };
-                    self.icache.record_repeat_hits(pc, ticks);
-                    self.accountant
-                        .block_cycles_n(MacroBlock::ICache, true, ticks);
-                } else {
-                    self.accountant
-                        .block_cycles_n(MacroBlock::ICache, false, ticks);
-                }
-                self.accountant
-                    .block_cycles_n(MacroBlock::BranchPredictor, false, ticks);
-            }
-            Domain::Decode => {
-                self.decode_cycle += ticks;
-                // Parked on a saturated dispatch rendezvous port: each
-                // elided tick's rename loop would have broken at the port
-                // and counted one blocked cycle.
-                if self.decode_park_blocked {
-                    self.rendezvous_blocked[Domain::Decode.index()] += ticks;
-                }
-                self.accountant.tick_domain_n(Domain::Decode, ticks);
-                self.accountant
-                    .block_cycles_n(MacroBlock::RenameLogic, false, ticks);
-                self.accountant
-                    .block_cycles_n(MacroBlock::RegisterFile, false, ticks);
-                // Occupancies frozen at park time: the live values may
-                // already reflect the squash of the recovery that woke us,
-                // which lands strictly after every elided tick.
-                let (rob_occ, rat_occ) = self.decode_park_occ;
-                self.rename.sample_occupancy_n_at(rat_occ, ticks);
-                self.rob.sample_occupancy_n_at(rob_occ, ticks);
-            }
-            Domain::IntCluster | Domain::FpCluster => {
-                let ci = domain.index() - 2;
-                let (iq_block, alu_block) = if ci == 0 {
-                    (MacroBlock::IntIssueWindow, MacroBlock::IntAlus)
-                } else {
-                    (MacroBlock::FpIssueWindow, MacroBlock::FpAlus)
-                };
-                self.clusters[ci].cycle += ticks;
-                self.accountant.tick_domain_n(domain, ticks);
-                self.clusters[ci].iq.sample_occupancy_n(ticks);
-                self.accountant.block_cycles_n(iq_block, false, ticks);
-                self.accountant.block_cycles_n(alu_block, false, ticks);
-            }
-            Domain::MemCluster => unreachable!("handled above"),
-        }
-    }
-
-    /// Replays the broadcast wakeup-tag pops a parked cluster's elided
-    /// ticks would have performed, at their exact unelided pop times.
-    ///
-    /// With static clock grids (synchronous / FIFO-GALS) a parked
-    /// cluster's edge times are known, so for each pending tag the first
-    /// edge at which the real tick would have popped it is computable:
-    /// the channel supplies the pop-legality bound
-    /// ([`Channel::front_pop_bound`]) and a per-channel cursor walks the
-    /// cluster's virtual edge grid to the first edge at or past it (the
-    /// single-shot closed form is [`Channel::front_pop_time`]). The pop
-    /// is replayed with that timestamp, making the channel statistics and
-    /// the `ready` bit interleaving bit-identical to the unelided
-    /// schedule. Called at the
-    /// top of every decode tick — the only other writer of the clusters'
-    /// `ready` arrays — with `cutoff = now` (exclusive), and once more at
-    /// the end of the run by the driver. A tag popping at an edge *at or
-    /// after* the cutoff is left for the next catch-up (or the cluster's
-    /// own re-armed tick, which pops it live).
-    fn catch_up_parked_wakeups(&mut self, cutoff: Time) {
-        if self.static_grid.is_none() {
-            return; // pausible: wakeup pushes wake the cluster instead
-        }
-        for ci in 0..3 {
-            if self.parked[ci + 2] {
-                self.catch_up_cluster_wakeups(ci, cutoff, false);
-            }
-        }
-    }
-
-    fn catch_up_cluster_wakeups(&mut self, ci: usize, cutoff: Time, inclusive: bool) {
-        let Some(grids) = self.static_grid else {
-            return;
-        };
-        let (_, period) = grids[ci + 2];
-        for from in 0..3 {
-            if from == ci {
-                continue;
-            }
-            loop {
-                // Division-free pre-check: if the front tag could not pop
-                // before the cutoff on *any* grid, skip the edge walk (the
-                // common case on every decode tick).
-                let bound = match self.ch_wakeup[from][ci].front_pop_bound() {
-                    Some(bound) if bound <= cutoff => bound,
-                    _ => break,
-                };
-                // The pop edge: the first virtual edge at or after the
-                // legality bound. Pops replay in time order, so the
-                // cursor only ever steps forward — typically by zero or
-                // one period.
-                let mut e = self.virtual_edge[from][ci];
-                while e < bound {
-                    e += period;
-                }
-                self.virtual_edge[from][ci] = e;
-                if e > cutoff || (e == cutoff && !inclusive) {
-                    break;
-                }
-                let tag = self.ch_wakeup[from][ci]
-                    .try_pop(e)
-                    .expect("cursor edge satisfies the pop bound");
-                let cl = &mut self.clusters[ci];
-                cl.ready.set(tag.index());
-                cl.iq.wakeup(tag.as_iq_tag());
-            }
-        }
-    }
-
-    /// End-of-run flush for a still-parked cluster: replays the wakeup-tag
-    /// pops of its elided edges up to the final timestamp (`inclusive`
-    /// when the cluster's edge at that instant was ordered before the
-    /// stopping edge). No-op for non-cluster domains.
-    pub fn flush_parked_wakeups(&mut self, domain: Domain, until: Time, inclusive: bool) {
-        if domain.index() >= 2 {
-            self.catch_up_cluster_wakeups(domain.index() - 2, until, inclusive);
-        }
     }
 
     /// Advances one clock edge of `domain` at absolute time `now`.
@@ -1044,8 +578,7 @@ impl<'p> Pipeline<'p> {
                     }
                     // Rendezvous mode: a blocked cycle is a tick in which
                     // fetch produced *nothing* because its output port was
-                    // occupied. A parked blocked fetch replays exactly
-                    // these (zero-push) ticks — see `replay_idle`.
+                    // occupied.
                     if self.rendezvous && port_blocked && self.fetched == fetched_before {
                         self.rendezvous_blocked[Domain::Fetch.index()] += 1;
                     }
@@ -1058,9 +591,6 @@ impl<'p> Pipeline<'p> {
             .block_cycle(MacroBlock::ICache, icache_active);
         self.accountant
             .block_cycle(MacroBlock::BranchPredictor, bpred_active);
-        if self.icache_stall == 0 && self.quiescent(Domain::Fetch) {
-            self.quiesced_mask |= 1 << Domain::Fetch.index();
-        }
     }
 
     /// Latency charged for an L1 miss: L2 hit latency, plus memory latency
@@ -1087,25 +617,6 @@ impl<'p> Pipeline<'p> {
         };
         // A fetch-side L2 touch is consumed by the memory cluster's next
         // tick (it charges the L2 block's activity and resets the flag).
-        // With a static clock grid the consuming edge of a *parked* memory
-        // cluster is computable, so the charge is deferred and the cluster
-        // stays parked; under pausible clocking it must wake instead.
-        match self.static_grid {
-            Some(grids) => {
-                if self.parked[Domain::MemCluster.index()] {
-                    let (phase, period) = grids[Domain::MemCluster.index()];
-                    // First memory-cluster edge at or after `now`: the
-                    // memory cluster's priority orders it after fetch, so
-                    // a same-instant edge would consume the flag.
-                    let e = grid_ceil(phase, period, self.now);
-                    if e != self.parked_l2_last_edge {
-                        self.parked_l2_charges += 1;
-                        self.parked_l2_last_edge = e;
-                    }
-                }
-            }
-            None => self.note_wake(Domain::MemCluster),
-        }
         Self::l2_fill_latency_for(
             &mut self.l2,
             &mut self.l2_touched,
@@ -1329,7 +840,6 @@ impl<'p> Pipeline<'p> {
         self.ch_fetch_decode
             .try_push(id, self.now)
             .expect("push guarded by can_push");
-        self.note_wake(Domain::Decode);
         self.note_transfer(Domain::Fetch, Domain::Decode);
         self.fetched += 1;
         if wrong {
@@ -1358,7 +868,7 @@ impl<'p> Pipeline<'p> {
         for cl in &mut self.clusters {
             cl.iq.squash_younger_into(bseq, &mut scratch);
             cl.executing.retain(|&(_, s, _)| s <= bseq);
-            // Rendezvous mode: port-parked writebacks of squashed
+            // Rendezvous mode: port-blocked writebacks of squashed
             // instructions evaporate too (the list is empty otherwise).
             cl.writeback_pending.retain(|&(s, _)| s <= bseq);
         }
@@ -1383,11 +893,6 @@ impl<'p> Pipeline<'p> {
         // tolerated (module docs).
         self.inflight.remove_younger(bseq);
 
-        // Recovery mutates the ROB and the rename state: a decode parked on
-        // a checkpoint/register stall must wake (and back-fill its elided
-        // ticks at the pre-squash occupancies it froze when parking).
-        self.note_wake(Domain::Decode);
-
         // Resume correct-path fetch.
         self.wrong_path = false;
         self.wrong_pc = EXIT_PC;
@@ -1407,12 +912,6 @@ impl<'p> Pipeline<'p> {
         let now = self.now;
         self.decode_cycle += 1;
         self.accountant.tick_domain(Domain::Decode);
-
-        // 0. Replay the wakeup-tag pops of parked clusters that fall
-        // strictly before this tick: the rename stage below writes the
-        // clusters' ready bits, and the elided pops must land first (in
-        // the unelided schedule they did).
-        self.catch_up_parked_wakeups(now);
 
         // 1. Absorb completions.
         for ci in 0..3 {
@@ -1499,9 +998,7 @@ impl<'p> Pipeline<'p> {
                 // Rendezvous mode: a blocked cycle is a tick whose rename
                 // stage moved *nothing* because the head's dispatch port
                 // was occupied (breaking after some renames is progress,
-                // not a stall). The cluster's consuming pop wakes a parked
-                // decode, whose elided — necessarily zero-rename — blocked
-                // ticks replay in `replay_idle`.
+                // not a stall).
                 if self.rendezvous && renamed == 0 {
                     self.rendezvous_blocked[Domain::Decode.index()] += 1;
                 }
@@ -1559,7 +1056,6 @@ impl<'p> Pipeline<'p> {
             self.ch_dispatch[ci]
                 .try_push(id, now)
                 .expect("push guarded by can_push");
-            self.note_wake(CLUSTER_DOMAINS[ci]);
             self.note_transfer(Domain::Decode, CLUSTER_DOMAINS[ci]);
             self.decode_buf.pop_front();
             renamed += 1;
@@ -1573,9 +1069,6 @@ impl<'p> Pipeline<'p> {
             let Some((id, res)) = self.ch_fetch_decode.try_pop_timed(now) else {
                 break;
             };
-            // A freed slot is what un-blocks a fetch parked on the full
-            // channel (see the fetch arm of `quiescent`).
-            self.note_wake(Domain::Fetch);
             if self.inflight.add_fifo_time(id, res) {
                 self.decode_buf.push_back(id);
             }
@@ -1589,108 +1082,17 @@ impl<'p> Pipeline<'p> {
             .block_cycle(MacroBlock::RegisterFile, renamed > 0 || commits > 0);
         self.rename.sample_occupancy();
         self.rob.sample_occupancy();
-        // Quiescence: this tick did nothing, its inbound channels carry
-        // nothing it could consume, and whatever stalls the rename head
-        // (if any) can only be released by another domain's push or pop —
-        // each of which raises a decode wake. An in-flight-but-not-yet-
-        // visible fetch group (a mixed-clock FIFO synchronising) blocks
-        // parking: its visibility arrives by time, not by an event.
-        if commits == 0
-            && renamed == 0
-            && decoded == 0
-            && self.ch_complete.iter().all(|c| c.is_empty())
-            && (self.ch_fetch_decode.is_empty()
-                || self.decode_buf.len() >= 2 * self.cfg.uarch.decode_width as usize)
-            && self.pending_stretch[Domain::Decode.index()] == Time::ZERO
-            && self.decode_stall_is_external()
-        {
-            self.quiesced_mask |= 1 << Domain::Decode.index();
-        }
-    }
-
-    /// Classifies the binding stall of the rename head, testing hazards in
-    /// the same order the live rename loop in `tick_decode` does (ROB
-    /// space, checkpoint, store-buffer slot, dispatch port, physical
-    /// registers). The loop is the semantics; this is the one shared,
-    /// side-effect-free mirror of it that the park predicates below are
-    /// derived from — extend both the loop and this classification
-    /// together when adding a rename hazard.
-    fn rename_head_stall(&self) -> RenameHeadStall {
-        let Some(&id) = self.decode_buf.front() else {
-            return RenameHeadStall::Empty;
-        };
-        if !self.rob.has_space() {
-            return RenameHeadStall::RobFull;
-        }
-        let Some((_, op, arch_dst, _)) = self.inflight.rename_view(id) else {
-            return RenameHeadStall::Vanished;
-        };
-        if op.is_branch() && !self.rename.can_checkpoint() {
-            return RenameHeadStall::Checkpoint;
-        }
-        if op == OpClass::Store && !self.store_buffer.has_space() {
-            return RenameHeadStall::StoreBuffer;
-        }
-        let ci = cluster_index(op.cluster());
-        if self.ch_dispatch[ci].len() >= self.ch_dispatch[ci].capacity() {
-            return RenameHeadStall::PortSaturated;
-        }
-        if let Some(d) = arch_dst {
-            let (int_free, fp_free) = self.rename.free_counts();
-            let free = if d.is_fp() { fp_free } else { int_free };
-            if free == 0 {
-                return RenameHeadStall::Registers;
-            }
-        }
-        RenameHeadStall::Ready
-    }
-
-    /// True when the rename head (if any) is stalled on a resource only
-    /// another domain's activity can release — a commit enabled by a
-    /// completion push, a recovery, or a dispatch-channel pop, all of
-    /// which wake a parked decode. Returns `false` for the one stall whose
-    /// release is time-driven: a dispatch channel whose *slots* are free
-    /// but whose full-flag synchronisation has not yet expired (that case
-    /// classifies as `Ready` — the synchronisation is invisible to the
-    /// side-effect-free classifier, and `Ready` with nothing renamed this
-    /// tick is precisely it).
-    fn decode_stall_is_external(&self) -> bool {
-        self.rename_head_stall() != RenameHeadStall::Ready
-    }
-
-    /// Rendezvous mode: true when the live rename loop would break at the
-    /// `can_push` check of the head's dispatch port, so parked-decode
-    /// replay charges blocked cycles if and only if the live ticks would
-    /// have. (Rendezvous ports have no backward delay, so slot-saturation
-    /// is exactly `!can_push`; the loop checks the port before renaming
-    /// the destination, so a saturated port binds even when registers are
-    /// also scarce.)
-    fn decode_head_blocked_on_port(&self) -> bool {
-        self.rename_head_stall() == RenameHeadStall::PortSaturated
     }
 
     /// Deadlock watchdog: records a [`DeadlockReport`] when no instruction
-    /// has committed for the configured window. Checked from every *live*
-    /// tick path — with idle-tick elision a hung simulator may have parked
-    /// some domains (their elided ticks never run this), but any hang that
-    /// is not the all-parked case (caught by the driver through
-    /// [`Pipeline::note_all_parked`]) keeps at least one domain ticking,
-    /// so the trap still springs. Once the report is recorded,
-    /// [`Pipeline::done`] is true and the check never re-fires.
+    /// has committed for the configured window. Checked on every fetch,
+    /// decode and cluster tick, so both drivers trip it at the same edge.
+    /// Once the report is recorded, [`Pipeline::done`] is true and the
+    /// check never re-fires.
     #[inline]
     fn check_watchdog(&mut self, now: Time) {
         if now.saturating_sub(self.last_commit_time) >= self.watchdog_span && !self.done() {
-            self.deadlock = Some(self.build_deadlock_report(DeadlockTrigger::Watchdog, now));
-        }
-    }
-
-    /// Driver hook for the elision-aware deadlock case: every domain clock
-    /// is parked but the run is unfinished. Wakes only come from ticks, so
-    /// no progress is possible; record the report (making
-    /// [`Pipeline::done`] true) so the driver exits and surfaces it.
-    pub fn note_all_parked(&mut self, now: Time) {
-        if !self.done() {
-            self.deadlock = Some(self.build_deadlock_report(DeadlockTrigger::AllParked, now));
+            self.deadlock = Some(self.build_deadlock_report(now));
         }
     }
 
@@ -1708,27 +1110,20 @@ impl<'p> Pipeline<'p> {
         self.static_finding = finding;
     }
 
-    /// True when every domain clock is parked (ClockSet driver's mirror).
-    pub fn all_parked(&self) -> bool {
-        self.parked == [true; 5]
-    }
-
     /// Snapshots the stuck machine. Every field is a pure function of the
     /// configuration and workload, so re-running the same point rebuilds
     /// the same report bit-for-bit.
-    fn build_deadlock_report(&self, trigger: DeadlockTrigger, now: Time) -> Box<DeadlockReport> {
+    fn build_deadlock_report(&self, now: Time) -> Box<DeadlockReport> {
         let port = |ch: &Channel<InstrId>| PortState {
             len: ch.len(),
             capacity: ch.capacity(),
             rendezvous: ch.is_rendezvous(),
         };
         Box::new(DeadlockReport {
-            trigger,
             now,
             last_commit_time: self.last_commit_time,
             watchdog_cycles: self.limits.watchdog_cycles,
             committed: self.committed,
-            parked: self.parked,
             rob_len: self.rob.len(),
             rob_head_seq: self.rob.head().map(|(seq, _, _)| seq),
             decode_buf_len: self.decode_buf.len(),
@@ -1795,10 +1190,10 @@ impl<'p> Pipeline<'p> {
             // Rendezvous mode: a writeback pushes into single-entry ports
             // (wakeup broadcasts, the completion notice, possibly the
             // redirect), so it runs only when *every* port it needs can
-            // accept — an atomic rendezvous. Blocked writebacks park in
-            // program order on the pending list and retry next tick (the
-            // non-empty list keeps the cluster from quiescing); one blocked
-            // cycle is charged per tick that ends with the head parked.
+            // accept — an atomic rendezvous. Blocked writebacks wait in
+            // program order on the pending list and retry next tick; one
+            // blocked cycle is charged per tick that ends with the head
+            // still waiting.
             let mut pending = std::mem::take(&mut self.clusters[ci].writeback_pending);
             pending.extend_from_slice(&finished);
             // Seqs are unique, so the merged order is deterministic.
@@ -1837,9 +1232,6 @@ impl<'p> Pipeline<'p> {
             let Some((id, res)) = self.ch_dispatch[ci].try_pop_timed(now) else {
                 break;
             };
-            // A freed dispatch slot is what un-blocks a decode parked on a
-            // saturated dispatch channel (see `decode_stall_is_external`).
-            self.note_wake(Domain::Decode);
             let Some((age, srcs)) = self.inflight.absorb_dispatch(id, res) else {
                 continue;
             };
@@ -1879,9 +1271,6 @@ impl<'p> Pipeline<'p> {
         }
         if ci == 2 {
             self.store_buffer.sample_occupancy();
-        }
-        if !iq_active && !alu_active && self.quiescent(CLUSTER_DOMAINS[ci]) {
-            self.quiesced_mask |= 1 << CLUSTER_DOMAINS[ci].index();
         }
     }
 
@@ -2043,27 +1432,19 @@ impl<'p> Pipeline<'p> {
             cl.ready.set(tag.index());
             cl.iq.wakeup(tag.as_iq_tag());
             let filter = self.cfg.cross_cluster_wakeup_filter;
-            let broadcast_wakes = self.static_grid.is_none();
             let interest = if filter {
                 self.wakeup_interest[tag.index()]
             } else {
                 0
             };
-            for (to, &to_domain) in CLUSTER_DOMAINS.iter().enumerate() {
+            for to in 0..3 {
                 if to == ci || (filter && interest & (1 << to) == 0) {
                     continue;
                 }
                 self.ch_wakeup[ci][to]
                     .try_push(tag, now)
                     .expect("wakeup channel sized to never fill");
-                if broadcast_wakes {
-                    // Pausible grids stretch, so a parked consumer cannot
-                    // replay the pop later: wake it instead. With static
-                    // grids the pop is replayed exactly and the consumer
-                    // stays parked (see catch_up_parked_wakeups).
-                    self.note_wake(to_domain);
-                }
-                self.note_wakeup_transfer(ci, to);
+                self.note_tag_transfer(ci, to);
             }
             if filter {
                 self.wakeup_interest[tag.index()] = WAKEUP_DONE;
@@ -2091,7 +1472,6 @@ impl<'p> Pipeline<'p> {
                     now,
                 )
                 .expect("redirect channel sized to never fill");
-            self.note_wake(Domain::Fetch);
             self.note_transfer(CLUSTER_DOMAINS[ci], Domain::Fetch);
         }
 
@@ -2099,7 +1479,6 @@ impl<'p> Pipeline<'p> {
         self.ch_complete[ci]
             .try_push(id, now)
             .expect("completion channel sized to never fill");
-        self.note_wake(Domain::Decode);
         self.note_transfer(CLUSTER_DOMAINS[ci], Domain::Decode);
     }
 
@@ -2189,42 +1568,6 @@ impl<'p> Pipeline<'p> {
 enum FetchOutcome {
     Continue,
     Stop,
-}
-
-/// The binding stall of the rename head, as classified by
-/// `Pipeline::rename_head_stall` (hazards in the live rename loop's test
-/// order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RenameHeadStall {
-    /// Decode buffer empty — nothing to rename.
-    Empty,
-    /// ROB full: waits on a commit (a completion push wakes decode).
-    RobFull,
-    /// The head vanished under the buffer (defensive squash race).
-    Vanished,
-    /// Branch with no free checkpoint: waits on commit or recovery.
-    Checkpoint,
-    /// Store with no buffer slot: waits on commit.
-    StoreBuffer,
-    /// Dispatch channel slot-saturated: waits on a consumer pop.
-    PortSaturated,
-    /// Out of physical registers: waits on commit or recovery.
-    Registers,
-    /// No stall visible to a side-effect-free classification: the head
-    /// would rename — unless the dispatch channel's full-flag
-    /// synchronisation is still pending, the one time-driven wait, which
-    /// also lands here and which park decisions must treat as
-    /// not-parkable.
-    Ready,
-}
-
-/// First edge of the grid `(phase + k·period)` at or after `bound`.
-fn grid_ceil(phase: Time, period: Time, bound: Time) -> Time {
-    if bound <= phase {
-        return phase;
-    }
-    let delta = bound.as_fs() - phase.as_fs();
-    phase + period * delta.div_ceil(period.as_fs())
 }
 
 fn cluster_index(c: Cluster) -> usize {

@@ -6,19 +6,16 @@
 //!   periodic, so they run on [`ClockSet`], the static clock-tick scheduler:
 //!   no heap, no boxed handlers, no per-edge allocation. Domain dispatch is
 //!   static — a `match` in [`Pipeline::tick`] — instead of the engine's
-//!   `Box<dyn FnMut>` indirection. On top of that, the driver runs
-//!   **idle-tick elision**: after each tick it asks the pipeline whether
-//!   the domain is quiescent ([`Pipeline::quiescent`]) and parks its clock;
-//!   a parked clock's edges are skipped entirely until a wake edge
-//!   ([`Pipeline::take_wake_mask`]) re-arms it, at which point the elided
-//!   edges are back-filled bit-identically by [`Pipeline::replay_idle`].
-//!   See the elision contract in `gals_events` for the park/wake rules.
+//!   `Box<dyn FnMut>` indirection. The loop is: take the earliest edge,
+//!   tick its domain, forward any stretch requests to the clock set.
 //! * [`simulate_with_engine`] — the original general-engine path, kept as
 //!   the reference implementation (the framework of the paper's section
 //!   4.2) and as the differential-testing oracle: both drivers must produce
-//!   bit-identical [`SimReport`]s, which `tests/end_to_end.rs` pins. The
-//!   engine never elides — every elision the fast path performs is checked
-//!   against a scheduler that dispatched every edge.
+//!   bit-identical [`SimReport`]s, which `tests/end_to_end.rs` pins, and
+//!   equal [`DeadlockReport`](crate::DeadlockReport)s.
+//!
+//! Both drivers tick every edge of every domain, as the paper's simulator
+//! does with one periodic event per clock domain.
 //!
 //! The domain clocks carry distinct priorities (their domain index), so the
 //! `(time, priority)` edge order — and therefore every architectural and
@@ -82,8 +79,7 @@ fn preflight(config: &ProcessorConfig, limits: &SimLimits) -> Result<Option<Stri
 /// pre-flight analysis ([`crate::analyze`], run before any simulation
 /// state is built — the boxed finding carries the stable `GA…` code);
 /// [`SimError::Deadlock`] if the machine stops making progress — the
-/// commit watchdog in [`SimLimits`] fires, or idle-tick elision parks all
-/// five clocks with the run unfinished. The report inside is a
+/// commit watchdog in [`SimLimits`] fires. The report inside is a
 /// deterministic snapshot of the stuck machine, cross-referencing the
 /// analyzer's static verdict when the wedge was flagged at submit.
 pub fn simulate(
@@ -100,57 +96,13 @@ pub fn simulate(
         let clock = clocking.domain_clock(d);
         clocks.add_clock(clock.phase, clock.period, d.index() as i32);
     }
-    // Equal-period machines (the synchronous baseline and the paper's
-    // equal-frequency GALS experiments) dispatch on a fixed rotation with
-    // no per-edge min-scan; a pausible machine drops back to the general
-    // path at its first clock stretch.
-    clocks.enable_uniform();
     let mut exec_time = Time::ZERO;
-    // The slot whose dispatch ended the run: simultaneous edges ordered
-    // after it never fire (the engine's stopping point), which the final
-    // parked-clock drain below must respect.
-    let mut stop_slot = 0usize;
-    // Park debounce: a domain parks after reporting quiescence from two
-    // consecutive ticks (the tick itself reports — see
-    // `Pipeline::take_quiesced_mask` — so detection costs nothing when
-    // busy). One-tick bubbles, where park/unpark costs more than the tick
-    // it saves, never park; anything idle longer parks on its second
-    // quiet tick.
-    const PARK_STREAK: [u8; 5] = [1, 2, 2, 2, 2];
-    let mut quiet_streak = [0u8; 5];
     while !pipeline.done() {
         let Some((t, slot)) = clocks.tick() else {
             break;
         };
         exec_time = t;
-        stop_slot = slot;
-        let domain = Domain::ALL[slot];
-        pipeline.tick(domain, t);
-
-        // Fetch-stall fast-forward: a multi-cycle I-cache fill with no
-        // redirect possible is a pure countdown — skip the remaining
-        // stall edges wholesale and back-fill their (identical) charges.
-        if slot == Domain::Fetch.index() {
-            let stall = pipeline.fetch_stall_skip();
-            if stall > 0 {
-                clocks.skip(slot, u64::from(stall));
-                pipeline.replay_fetch_stall(stall);
-            }
-        }
-
-        // Wake edges: unpark any parked domain the tick pushed work to,
-        // back-filling its elided edges as bulk idle ticks.
-        let mut wakes = pipeline.take_wake_mask();
-        while wakes != 0 {
-            let w = wakes.trailing_zeros() as usize;
-            wakes &= wakes - 1;
-            if clocks.is_parked(w) {
-                let (elided, next_edge) = clocks.unpark(w, slot);
-                pipeline.set_parked(Domain::ALL[w], false);
-                pipeline.replay_idle(Domain::ALL[w], elided, next_edge);
-            }
-        }
-
+        pipeline.tick(Domain::ALL[slot], t);
         // Pausible mode: apply this tick's stretch requests. An edge
         // pending at the current instant stays unstretched (ClockSet
         // defers it), matching the engine driver's per-event drain.
@@ -161,41 +113,9 @@ pub fn simulate(
                 }
             }
         }
-
-        // Park the domain we just ticked once two consecutive ticks ended
-        // quiescent: its edges are elided until a wake edge above re-arms
-        // it.
-        if pipeline.take_quiesced_mask() & (1 << slot) != 0 {
-            quiet_streak[slot] += 1;
-            if quiet_streak[slot] >= PARK_STREAK[slot] {
-                quiet_streak[slot] = 0;
-                clocks.park(slot);
-                pipeline.set_parked(domain, true);
-                // All five clocks parked with the run unfinished: wakes
-                // only come from ticks, so the machine can never advance.
-                // Record the deadlock (making `done()` true) and exit.
-                if pipeline.all_parked() {
-                    pipeline.note_all_parked(exec_time);
-                }
-            }
-        } else {
-            quiet_streak[slot] = 0;
-        }
     }
     if let Some(report) = pipeline.take_deadlock() {
         return Err(SimError::Deadlock(report));
-    }
-    // Final drain: domains still parked at the stopping edge replay the
-    // idle ticks (and, for clusters, the elided wakeup-tag pops) that the
-    // unelided schedule would have dispatched before the stop.
-    for d in Domain::ALL {
-        let s = d.index();
-        if clocks.is_parked(s) {
-            pipeline.flush_parked_wakeups(d, exec_time, s < stop_slot);
-            let (elided, next_edge) = clocks.drain_parked(s, stop_slot);
-            pipeline.set_parked(d, false);
-            pipeline.replay_idle(d, elided, next_edge);
-        }
     }
     Ok(pipeline.into_report(exec_time))
 }
@@ -209,13 +129,8 @@ pub fn simulate(
 ///
 /// # Errors
 ///
-/// Same conditions as [`simulate`]. (A deadlocked run's [`DeadlockReport`]
-/// is deterministic per driver but may differ *between* drivers — the
-/// engine never parks clocks, so its snapshot can be taken at an earlier
-/// edge than the eliding driver's. The bit-identity contract covers
-/// successful reports.)
-///
-/// [`DeadlockReport`]: crate::DeadlockReport
+/// Same conditions as [`simulate`], with an equal
+/// [`DeadlockReport`](crate::DeadlockReport) when the run deadlocks.
 pub fn simulate_with_engine(
     program: &Program,
     config: ProcessorConfig,

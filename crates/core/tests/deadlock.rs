@@ -3,7 +3,7 @@
 //! stuck machine, never a panic or a hang — this is the core-side contract
 //! the sweep harness's fault isolation builds on.
 
-use gals_core::{simulate, simulate_with_engine, DeadlockTrigger, ProcessorConfig, SimError};
+use gals_core::{simulate, simulate_with_engine, ProcessorConfig, SimError};
 use gals_core::{DeadlockReport, SimLimits};
 use gals_workload::{generate, micro, Benchmark};
 
@@ -36,7 +36,6 @@ fn an_impossible_watchdog_window_trips_before_the_first_commit() {
             run(&program, ProcessorConfig::synchronous_1ghz(), limits),
             name,
         );
-        assert_eq!(report.trigger, DeadlockTrigger::Watchdog, "{name}");
         assert_eq!(
             report.committed, 0,
             "{name}: nothing can commit in one cycle"
@@ -49,20 +48,26 @@ fn an_impossible_watchdog_window_trips_before_the_first_commit() {
 #[test]
 fn deadlock_reports_are_deterministic_per_driver() {
     let program = generate(Benchmark::Adpcm, 7);
-    let limits = SimLimits::insts(5_000).with_watchdog_cycles(1);
-    let cfg = || ProcessorConfig::gals_equal_1ghz(1);
-    let a = expect_deadlock(simulate(&program, cfg(), limits), "first");
-    let b = expect_deadlock(simulate(&program, cfg(), limits), "second");
-    assert_eq!(a, b, "the same hung point must reproduce the same report");
-    let ea = expect_deadlock(
-        simulate_with_engine(&program, cfg(), limits),
-        "engine first",
-    );
-    let eb = expect_deadlock(
-        simulate_with_engine(&program, cfg(), limits),
-        "engine second",
-    );
-    assert_eq!(ea, eb);
+    // In the second case the watchdog trips at 3.068 ns, while the front
+    // end waits on its first I-cache fill and the other domains idle: both
+    // drivers tick every edge, so both trip it at that same edge.
+    for (seed, window) in [(1, 1), (3, 3)] {
+        let limits = SimLimits::insts(5_000).with_watchdog_cycles(window);
+        let cfg = || ProcessorConfig::gals_equal_1ghz(seed);
+        let a = expect_deadlock(simulate(&program, cfg(), limits), "first");
+        let b = expect_deadlock(simulate(&program, cfg(), limits), "second");
+        assert_eq!(a, b, "the same hung point must reproduce the same report");
+        let ea = expect_deadlock(
+            simulate_with_engine(&program, cfg(), limits),
+            "engine first",
+        );
+        let eb = expect_deadlock(
+            simulate_with_engine(&program, cfg(), limits),
+            "engine second",
+        );
+        assert_eq!(ea, eb);
+        assert_eq!(a, ea, "both drivers must report the same deadlock");
+    }
 }
 
 #[test]
@@ -136,11 +141,8 @@ mod chaos {
             simulate_with_engine(&program, cfg(), wedged_limits(90)),
             "engine",
         );
-        // Snapshot *timing* may differ between drivers (the engine never
-        // parks), but the architectural stuck-state must agree.
         assert_eq!(fast.rob_head_seq, Some(90));
-        assert_eq!(engine.rob_head_seq, Some(90));
-        assert_eq!(fast.committed, engine.committed);
+        assert_eq!(fast, engine, "both drivers must report the same deadlock");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! slab-backed instruction store: once a run is past warm-up (construction,
 //! scratch-buffer growth, the in-flight slab reaching its peak live count),
 //! the simulate loop performs **no heap allocation at all** — not per
-//! instruction, not per squash, not per parked/woken clock domain.
+//! instruction, not per squash, not per domain tick.
 //!
 //! Method: allocations are counted for the same workload at a small and a
 //! large committed-instruction budget. Construction and warm-up costs are

@@ -88,23 +88,6 @@ pub struct ClockSet {
     /// Stretch requested while the target's edge at `now` was still
     /// pending; applied when that edge dispatches (see [`ClockSet::stretch`]).
     deferred: [Time; MAX_CLOCKS],
-    /// The real next-edge time of a parked clock (its entry holds
-    /// [`Time::MAX`] so the min-scan skips it); see [`ClockSet::park`].
-    shadow_next: [Time; MAX_CLOCKS],
-    /// Park flags per slot.
-    parked: [bool; MAX_CLOCKS],
-    /// Uniform-period rotation fast path (see [`ClockSet::enable_uniform`]):
-    /// unparked slots in dispatch order. With every clock sharing one
-    /// period, the `(time, priority)` dispatch order within a cycle is a
-    /// fixed rotation — no min-scan needed per edge.
-    rot: [u8; MAX_CLOCKS],
-    rot_len: u8,
-    rot_pos: u8,
-    uniform: bool,
-    /// Edges of a slot to silently elide in rotation mode (the caller's
-    /// [`ClockSet::skip`] fast-forward); the general path advances `next`
-    /// directly instead.
-    skip_credit: [u64; MAX_CLOCKS],
     len: usize,
     now: Time,
     edges: u64,
@@ -122,13 +105,6 @@ impl ClockSet {
         ClockSet {
             entries: [IDLE; MAX_CLOCKS],
             deferred: [Time::ZERO; MAX_CLOCKS],
-            shadow_next: [Time::MAX; MAX_CLOCKS],
-            parked: [false; MAX_CLOCKS],
-            rot: [0; MAX_CLOCKS],
-            rot_len: 0,
-            rot_pos: 0,
-            uniform: false,
-            skip_credit: [0; MAX_CLOCKS],
             len: 0,
             now: Time::ZERO,
             edges: 0,
@@ -221,19 +197,11 @@ impl ClockSet {
     /// Returns `None` only for an empty set.
     #[inline]
     pub fn tick(&mut self) -> Option<(Time, usize)> {
-        if self.uniform {
-            return Some(self.tick_rotation());
-        }
         if self.len == 0 {
             return None;
         }
         let s = self.min_slot();
         let t = self.entries[s].next;
-        assert!(
-            t != Time::MAX,
-            "every clock is parked: the simulated system deadlocked while \
-             still running (a quiescent domain was never woken)"
-        );
         self.entries[s].next = t + self.entries[s].period + std::mem::take(&mut self.deferred[s]);
         self.now = t;
         self.edges += 1;
@@ -253,236 +221,14 @@ impl ClockSet {
     /// Panics if `slot` is not a registered clock.
     pub fn stretch(&mut self, slot: usize, extra: Time) {
         assert!(slot < self.len, "stretch of unregistered clock slot {slot}");
-        debug_assert!(
-            !self.parked[slot],
-            "stretch of a parked clock: every transfer that stretches a \
-             domain must first wake it (see the idle-tick elision contract)"
-        );
         if extra == Time::ZERO {
             return;
         }
-        self.disable_uniform();
         if self.entries[slot].next > self.now {
             self.entries[slot].next += extra;
         } else {
             self.deferred[slot] += extra;
         }
-    }
-
-    /// Advances a clock by `n` whole periods without dispatching the
-    /// intervening edges. The caller guarantees the skipped edges would
-    /// have been no-ops and accounts for them itself (the fetch-stall
-    /// fast-forward of the pipeline driver); the clock stays on its grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is not a registered clock or is parked.
-    pub fn skip(&mut self, slot: usize, n: u64) {
-        assert!(slot < self.len, "skip of unregistered clock slot {slot}");
-        assert!(!self.parked[slot], "skip of a parked clock");
-        if self.uniform {
-            // Rotation mode: elide the slot's next `n` rotation turns
-            // lazily, keeping every slot's stored edge within one period
-            // window so the rotation order stays valid.
-            self.skip_credit[slot] += n;
-        } else {
-            self.entries[slot].next += self.entries[slot].period * n;
-        }
-    }
-
-    /// Enables the uniform-period rotation fast path if every registered
-    /// clock shares one period (the synchronous and equal-frequency GALS
-    /// machines): dispatch order within a cycle is then a fixed rotation
-    /// sorted by `(next, priority)`, and [`ClockSet::tick`] needs no
-    /// min-scan. Returns whether the fast path engaged. The set falls back
-    /// to the general min-scan permanently at the first
-    /// [`ClockSet::stretch`] (stretches desynchronise the rotation).
-    /// Rotation mode serves the [`ClockSet::tick`] driver; the batch
-    /// dispatchers and [`ClockSet::peek`] must not be mixed with it.
-    pub fn enable_uniform(&mut self) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        let period = self.entries[0].period;
-        if self.entries[1..self.len].iter().any(|e| e.period != period) {
-            return false;
-        }
-        self.uniform = true;
-        self.rebuild_rotation();
-        true
-    }
-
-    /// Leaves rotation mode, materialising pending skip credits so the
-    /// general min-scan sees true next-edge times.
-    fn disable_uniform(&mut self) {
-        if !self.uniform {
-            return;
-        }
-        self.uniform = false;
-        for s in 0..self.len {
-            let credit = std::mem::take(&mut self.skip_credit[s]);
-            if credit > 0 {
-                self.entries[s].next += self.entries[s].period * credit;
-            }
-        }
-    }
-
-    /// Rebuilds the rotation order over unparked slots, earliest `(next,
-    /// priority)` first. Relative order is invariant under whole-period
-    /// advances, so this only runs at park/unpark transitions.
-    fn rebuild_rotation(&mut self) {
-        let mut order: [u8; MAX_CLOCKS] = [0; MAX_CLOCKS];
-        let mut n = 0usize;
-        for s in 0..self.len {
-            if !self.parked[s] {
-                order[n] = s as u8;
-                n += 1;
-            }
-        }
-        order[..n].sort_unstable_by_key(|&s| {
-            let e = &self.entries[s as usize];
-            (e.next, e.priority)
-        });
-        self.rot = order;
-        self.rot_len = n as u8;
-        self.rot_pos = 0;
-    }
-
-    /// Rotation-mode dispatch: the next unparked slot in rotation order,
-    /// consuming skip credits along the way.
-    #[inline]
-    fn tick_rotation(&mut self) -> (Time, usize) {
-        loop {
-            assert!(
-                self.rot_len > 0,
-                "every clock is parked: the simulated system deadlocked while \
-                 still running (a quiescent domain was never woken)"
-            );
-            let s = self.rot[self.rot_pos as usize] as usize;
-            self.rot_pos += 1;
-            if self.rot_pos == self.rot_len {
-                self.rot_pos = 0;
-            }
-            let e = &mut self.entries[s];
-            let t = e.next;
-            e.next = t + e.period;
-            if self.skip_credit[s] > 0 {
-                self.skip_credit[s] -= 1;
-                continue;
-            }
-            self.now = t;
-            self.edges += 1;
-            return (t, s);
-        }
-    }
-
-    /// Parks a clock: its pending edges are *elided* — removed from the
-    /// min-scan — until [`ClockSet::unpark`] restores them. The caller
-    /// guarantees that every elided edge would have been a no-op (the
-    /// domain is quiescent) and accounts for the elided edges on unpark
-    /// (see the idle-tick elision contract in the [crate docs](crate)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is not a registered clock, or (debug builds) if it
-    /// is already parked or has a pending deferred stretch.
-    pub fn park(&mut self, slot: usize) {
-        assert!(slot < self.len, "park of unregistered clock slot {slot}");
-        debug_assert!(!self.parked[slot], "clock slot {slot} is already parked");
-        debug_assert_eq!(
-            self.deferred[slot],
-            Time::ZERO,
-            "parking a clock with a deferred stretch would drop the stretch"
-        );
-        debug_assert_eq!(
-            self.skip_credit[slot], 0,
-            "parking a clock with pending skipped edges"
-        );
-        self.shadow_next[slot] = self.entries[slot].next;
-        self.entries[slot].next = Time::MAX;
-        self.parked[slot] = true;
-        if self.uniform {
-            self.rebuild_rotation();
-        }
-    }
-
-    /// True while the slot is parked.
-    #[inline]
-    pub fn is_parked(&self, slot: usize) -> bool {
-        self.parked[slot]
-    }
-
-    /// Number of grid edges of a parked slot in `[shadow_next, now)` — the
-    /// edges elided so far.
-    fn elided_before_now(&self, slot: usize) -> (u64, Time) {
-        let start = self.shadow_next[slot];
-        let period = self.entries[slot].period;
-        if start > self.now {
-            return (0, start);
-        }
-        let delta = self.now.as_fs() - start.as_fs();
-        let k = delta.div_ceil(period.as_fs());
-        (k, start + period * k)
-    }
-
-    /// Unparks a clock that slot `waker` just woke (by pushing it work at
-    /// the current instant). Returns `(elided, next)`: the number of
-    /// elided edges — all strictly before `now`, plus an edge at exactly
-    /// `now` when the woken clock's batch position precedes the waker's
-    /// (that edge had already been skipped as a no-op before the waker
-    /// ran; an edge at `now` *due after* the waker is re-armed instead and
-    /// dispatches normally) — and the time of the first edge that will
-    /// dispatch live. The caller must replay the returned count as idle
-    /// ticks before the domain's next dispatched edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slot is unregistered or `slot` is not parked.
-    pub fn unpark(&mut self, slot: usize, waker: usize) -> (u64, Time) {
-        assert!(slot < self.len && waker < self.len, "unregistered slot");
-        assert!(self.parked[slot], "unpark of a clock that is not parked");
-        let (mut elided, mut next) = self.elided_before_now(slot);
-        if next == self.now && self.entries[slot].priority < self.entries[waker].priority {
-            // The woken clock's edge at `now` was ordered before the
-            // waker's: it has conceptually already fired as a no-op.
-            elided += 1;
-            next += self.entries[slot].period;
-        }
-        self.entries[slot].next = next;
-        self.shadow_next[slot] = Time::MAX;
-        self.parked[slot] = false;
-        if self.uniform {
-            self.rebuild_rotation();
-        }
-        (elided, next)
-    }
-
-    /// Unparks a clock at the *end of a run*, returning the edges the
-    /// unelided schedule would still have dispatched: every elided edge
-    /// strictly before `now`, plus an edge at exactly `now` when this
-    /// clock's priority ordered it before `stop` (the slot whose dispatch
-    /// ended the run — simultaneous edges after it never fire). Returns
-    /// `(elided, next)` as [`ClockSet::unpark`] does; the caller replays
-    /// the count as idle ticks before reading its final state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slot is unregistered or `slot` is not parked.
-    pub fn drain_parked(&mut self, slot: usize, stop: usize) -> (u64, Time) {
-        assert!(slot < self.len && stop < self.len, "unregistered slot");
-        assert!(self.parked[slot], "drain of a clock that is not parked");
-        let (mut elided, mut next) = self.elided_before_now(slot);
-        if next == self.now && self.entries[slot].priority < self.entries[stop].priority {
-            elided += 1;
-            next += self.entries[slot].period;
-        }
-        self.entries[slot].next = next;
-        self.shadow_next[slot] = Time::MAX;
-        self.parked[slot] = false;
-        if self.uniform {
-            self.rebuild_rotation();
-        }
-        (elided, next)
     }
 
     /// Dispatches **all** edges sharing the earliest timestamp in ascending
@@ -504,11 +250,6 @@ impl ClockSet {
         }
         let first = self.min_slot();
         let t = self.entries[first].next;
-        assert!(
-            t != Time::MAX,
-            "every clock is parked: the simulated system deadlocked while \
-             still running (a quiescent domain was never woken)"
-        );
         self.now = t;
         loop {
             let s = self.min_slot();
@@ -668,86 +409,6 @@ mod tests {
         // ...and the stretch lands on the edge after it.
         assert_eq!(cs.tick(), Some((Time::from_ns(1), 0)));
         assert_eq!(cs.tick(), Some((Time::from_ps(1_400), 1)));
-    }
-
-    #[test]
-    fn parked_clock_is_elided_then_resumes_on_grid() {
-        let mut cs = ClockSet::new();
-        let a = cs.add_clock(Time::ZERO, Time::from_ns(1), 0);
-        let b = cs.add_clock(Time::from_ps(500), Time::from_ns(1), 1);
-        assert_eq!(cs.tick(), Some((Time::ZERO, a)));
-        assert_eq!(cs.tick(), Some((Time::from_ps(500), b)));
-        cs.park(b);
-        assert!(cs.is_parked(b));
-        // With b parked, only a's edges dispatch.
-        assert_eq!(cs.tick(), Some((Time::from_ns(1), a)));
-        assert_eq!(cs.tick(), Some((Time::from_ns(2), a)));
-        assert_eq!(cs.tick(), Some((Time::from_ns(3), a)));
-        // b's elided edges were 1.5 and 2.5 ns; its next live edge is 3.5.
-        assert_eq!(cs.unpark(b, a), (2, Time::from_ps(3_500)));
-        assert!(!cs.is_parked(b));
-        assert_eq!(cs.tick(), Some((Time::from_ps(3_500), b)));
-    }
-
-    #[test]
-    fn unpark_rearms_a_same_instant_edge_ordered_after_the_waker() {
-        // Aligned clocks: the woken clock has an edge at exactly `now`.
-        let mut cs = ClockSet::new();
-        let a = cs.add_clock(Time::ZERO, Time::from_ns(1), 0);
-        let b = cs.add_clock(Time::ZERO, Time::from_ns(1), 1);
-        cs.tick(); // a @ 0
-        cs.tick(); // b @ 0
-        cs.park(b);
-        cs.tick(); // a @ 1
-        cs.tick(); // a @ 2
-                   // b's priority (1) orders its 2 ns edge *after* a's: the edge has
-                   // not conceptually fired yet, so it re-arms and dispatches live.
-        assert_eq!(cs.unpark(b, a), (1, Time::from_ns(2))); // only the 1 ns edge was elided
-        assert_eq!(cs.tick(), Some((Time::from_ns(2), b)));
-    }
-
-    #[test]
-    fn unpark_elides_a_same_instant_edge_ordered_before_the_waker() {
-        let mut cs = ClockSet::new();
-        let hi = cs.add_clock(Time::ZERO, Time::from_ns(1), 0);
-        let lo = cs.add_clock(Time::ZERO, Time::from_ns(1), 1);
-        cs.tick(); // hi @ 0
-        cs.tick(); // lo @ 0
-        cs.park(hi);
-        cs.tick(); // lo @ 1
-                   // hi's 1 ns edge was ordered *before* lo's 1 ns dispatch, so it was
-                   // already skipped as a no-op: it counts as elided and the clock
-                   // resumes at 2 ns.
-        assert_eq!(cs.unpark(hi, lo), (1, Time::from_ns(2)));
-        assert_eq!(cs.tick(), Some((Time::from_ns(2), hi)));
-    }
-
-    #[test]
-    fn drain_parked_counts_final_batch_edges_by_stop_priority() {
-        let mut cs = ClockSet::new();
-        let a = cs.add_clock(Time::ZERO, Time::from_ns(1), 0);
-        let b = cs.add_clock(Time::ZERO, Time::from_ns(1), 1);
-        let c = cs.add_clock(Time::ZERO, Time::from_ns(1), 2);
-        for _ in 0..3 {
-            cs.tick(); // a, b, c @ 0
-        }
-        cs.park(a);
-        cs.park(c);
-        cs.tick(); // b @ 1 — the run stops here
-                   // a (priority 0) would have dispatched at 1 ns before b: elided.
-        assert_eq!(cs.drain_parked(a, b), (1, Time::from_ns(2)));
-        // c (priority 2) comes after the stopping edge: not dispatched.
-        assert_eq!(cs.drain_parked(c, b), (0, Time::from_ns(1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "every clock is parked")]
-    fn all_parked_is_a_loud_deadlock() {
-        let mut cs = ClockSet::new();
-        cs.add_clock(Time::ZERO, Time::from_ns(1), 0);
-        cs.tick();
-        cs.park(0);
-        cs.tick();
     }
 
     #[test]

@@ -25,58 +25,16 @@
 //!   branchless min-scan instead of a heap, zero allocation and zero
 //!   dynamic dispatch per edge, and batched dispatch of simultaneous edges.
 //!
-//! Both order edges by `(time, priority)`; for clocks with distinct
-//! priorities the two produce identical edge sequences, which is pinned by
-//! a differential property test (`tests/properties.rs`) and an end-to-end
-//! report-identity test in the simulator. Distinct priorities are the
-//! contract, not a convention: duplicate clock priorities would fall
-//! through to scheduler-private tie-breaks (insertion sequence in the
-//! engine, slot order in the clock set) and silently diverge the oracle, so
-//! both registration paths reject them with an always-on assertion that
-//! fires at registration time, before any simulation runs.
-//!
-//! ## Idle-tick elision (parked clocks)
-//!
-//! [`ClockSet`] extends the contract with **idle-tick elision**: a clock
-//! whose domain is provably quiescent may be *parked*
-//! ([`ClockSet::park`]), removing its edges from dispatch entirely. The
-//! division of obligations:
-//!
-//! * **The caller may park a clock only when every elided edge would have
-//!   been a no-op** — the domain's tick would change nothing but its own
-//!   cycle counters, idle-energy charges and occupancy samples (for the
-//!   pipeline: empty structures, no inbound channel traffic it would
-//!   consume, no pending stretch — or a provably frozen wait whose every
-//!   release path raises a wake). The pipeline is the authority on this:
-//!   each of its ticks reports its own quiescence on the way out.
-//! * **Whoever hands a parked domain work must wake it in the same
-//!   instant.** Wake edges are raised by channel pushes into the domain
-//!   and by same-cycle shared-state writes it consumes (the fetch-side L2
-//!   touch); [`ClockSet::unpark`] re-arms the clock and returns how many
-//!   edges were elided, which the caller must back-fill (bulk idle
-//!   accounting — exact, because the counters are integers).
-//! * **Same-instant ordering is preserved.** An elided edge at exactly the
-//!   wake instant counts as elided when the parked clock's priority
-//!   ordered it *before* the waker (it had already fired as a no-op), and
-//!   is re-armed to dispatch live when ordered *after* — so the
-//!   `(time, priority)` sequence of *effective* edges matches the
-//!   unparked schedule exactly. The same rule, against the run's stopping
-//!   edge, governs the end-of-run drain ([`ClockSet::drain_parked`]).
-//! * **Stretches and parking never overlap**: a stretch request targets an
-//!   awake clock (any transfer that stretches a domain also wakes it);
-//!   [`ClockSet::stretch`] asserts this.
-//!
-//! The general [`Engine`] never elides — it remains the oracle that
-//! dispatches every edge, which is precisely what makes the differential
-//! report-identity tests meaningful: every elision decision the fast path
-//! makes is checked against a scheduler that did the work.
-//!
-//! Two further fast-forward devices follow the same "caller accounts for
-//! skipped edges" rule: [`ClockSet::skip`] elides a known-length run of
-//! no-op edges of a *running* clock (the pipeline's I-cache-fill
-//! countdown), and [`ClockSet::enable_uniform`] switches equal-period
-//! clock sets (the synchronous and equal-frequency GALS machines) to a
-//! fixed dispatch rotation with no per-edge min-scan.
+//! Both dispatch every edge of every clock, in `(time, priority)` order;
+//! for clocks with distinct priorities the two produce identical edge
+//! sequences, which is pinned by a differential property test
+//! (`tests/properties.rs`) and an end-to-end report-identity test in the
+//! simulator. Distinct priorities are the contract, not a convention:
+//! duplicate clock priorities would fall through to scheduler-private
+//! tie-breaks (insertion sequence in the engine, slot order in the clock
+//! set) and silently diverge the oracle, so both registration paths reject
+//! them with an always-on assertion that fires at registration time, before
+//! any simulation runs.
 //!
 //! ## Stretchable (pausible) clocks
 //!

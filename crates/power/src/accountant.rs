@@ -60,11 +60,9 @@ impl EnergyBreakdown {
 ///
 /// Internally the accountant stores exact integer *cycle counts* and
 /// defers the energy arithmetic to [`PowerAccountant::breakdown`]: the
-/// per-tick charge is a counter increment, not a float multiply-add, and
-/// bulk charges (`*_n` methods — e.g. the idle-tick back-fill of a parked
-/// clock domain) are a single addition that yields bit-identical totals to
-/// the same cycles charged one at a time. Voltage factors must therefore
-/// be configured before simulation starts, as the pipeline does.
+/// per-tick charge is a counter increment, not a float multiply-add.
+/// Voltage factors must therefore be configured before simulation starts,
+/// as the pipeline does.
 ///
 /// # Examples
 ///
@@ -152,22 +150,10 @@ impl PowerAccountant {
         self.global_cycles += 1;
     }
 
-    /// Charges `n` cycles of the global clock grid at once.
-    #[inline]
-    pub fn tick_global_n(&mut self, n: u64) {
-        self.global_cycles += n;
-    }
-
     /// Charges one cycle of a domain's local clock grid.
     #[inline]
     pub fn tick_domain(&mut self, domain: Domain) {
         self.domain_cycles[domain.index()] += 1;
-    }
-
-    /// Charges `n` cycles of a domain's local clock grid at once.
-    #[inline]
-    pub fn tick_domain_n(&mut self, domain: Domain, n: u64) {
-        self.domain_cycles[domain.index()] += n;
     }
 
     /// Charges one local cycle of a block: full energy when `active`, the
@@ -180,19 +166,6 @@ impl PowerAccountant {
             slot.0 += 1;
         } else {
             slot.1 += 1;
-        }
-    }
-
-    /// Charges `n` local cycles of a block at once, all active or all idle
-    /// — bit-identical to `n` individual [`PowerAccountant::block_cycle`]
-    /// calls (the counts are exact integers).
-    #[inline]
-    pub fn block_cycles_n(&mut self, block: MacroBlock, active: bool, n: u64) {
-        let slot = &mut self.block_cycles[block.index()];
-        if active {
-            slot.0 += n;
-        } else {
-            slot.1 += n;
         }
     }
 

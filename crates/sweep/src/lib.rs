@@ -91,7 +91,7 @@
 //!       "status",               // "ok"/"panicked"/"deadlocked"
 //!       "panic_msg",            // panicked runs only
 //!       "deadlock",             // deadlocked runs only: the structured
-//!                               // DeadlockReport (trigger, parked clocks,
+//!                               // DeadlockReport (detection time,
 //!                               // channel occupancy, ROB/IQ heads, ...)
 //!       "analysis" }, ...       // static findings; omitted when clean
 //!   ],
@@ -1378,8 +1378,8 @@ fn deadlock_json(r: &DeadlockReport) -> String {
         o.map_or_else(|| "null".into(), |v| v.to_string())
     }
     format!(
-        "{{\"trigger\": \"{}\", \"time_fs\": {}, \"last_commit_fs\": {}, \
-         \"watchdog_cycles\": {}, \"committed\": {}, \"parked\": [{}], \
+        "{{\"time_fs\": {}, \"last_commit_fs\": {}, \
+         \"watchdog_cycles\": {}, \"committed\": {}, \
          \"rob_len\": {}, \"rob_head_seq\": {}, \"decode_buf_len\": {}, \
          \"iq_len\": [{}], \"writeback_pending_len\": [{}], \
          \"ch_fetch_decode\": \"{}\", \"ch_dispatch\": [{}], \
@@ -1387,12 +1387,10 @@ fn deadlock_json(r: &DeadlockReport) -> String {
          \"ch_wakeup_total\": {}, \"rendezvous_blocked\": [{}], \
          \"pending_recovery\": {}, \"fetch_halted\": {}, \"wrong_path\": {}, \
          \"static_finding\": {}}}",
-        r.trigger.as_str(),
         r.now.as_fs(),
         r.last_commit_time.as_fs(),
         r.watchdog_cycles,
         r.committed,
-        nums(&r.parked),
         r.rob_len,
         opt(r.rob_head_seq),
         r.decode_buf_len,

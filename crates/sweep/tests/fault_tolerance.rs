@@ -160,7 +160,7 @@ fn wedged_point_reports_a_deterministic_structured_deadlock() {
     // The structured report lands in the JSON artifact.
     let json = a.to_json();
     assert!(json.contains("\"status\": \"deadlocked\""), "{json}");
-    assert!(json.contains("\"deadlock\": {\"trigger\": \""), "{json}");
+    assert!(json.contains("\"deadlock\": {\"time_fs\": "), "{json}");
     assert!(json.contains("\"rob_head_seq\": 200"), "{json}");
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 }

@@ -135,30 +135,6 @@ impl Cache {
         false
     }
 
-    /// Records `n` repeated hit accesses to a resident line — the bulk
-    /// form of [`Cache::access`] for a front end replaying elided
-    /// stalled-fetch cycles. A repeated hit to the line an access just
-    /// touched changes nothing but the access count (the line is already
-    /// most-recently-used), so the bulk application is bit-identical to
-    /// `n` individual accesses.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if the line is not resident.
-    pub fn record_repeat_hits(&mut self, addr: u64, n: u64) {
-        debug_assert!(self.probe(addr), "repeat-hit replay on a missing line");
-        self.stats.accesses += n;
-    }
-
-    /// Probes without modifying state or statistics. Returns `true` if the
-    /// line is resident.
-    pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.index_tag(addr);
-        let ways = self.geometry.ways as usize;
-        let base = (set as usize) * ways;
-        self.tags[base..base + ways].contains(&tag)
-    }
-
     fn touch(&mut self, base: usize, ways: usize, way: usize) {
         let old = self.lru[base + way];
         for w in 0..ways {
@@ -212,16 +188,6 @@ mod tests {
         assert!(!c.access(0));
         assert!(!c.access(4 * 64)); // same set, evicts
         assert!(!c.access(0));
-    }
-
-    #[test]
-    fn probe_does_not_disturb() {
-        let mut c = small(2);
-        c.access(0);
-        let stats = c.stats();
-        assert!(c.probe(0));
-        assert!(!c.probe(64));
-        assert_eq!(c.stats(), stats);
     }
 
     #[test]

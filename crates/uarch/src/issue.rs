@@ -303,19 +303,8 @@ impl IssueQueue {
 
     /// Records an occupancy sample.
     pub fn sample_occupancy(&mut self) {
-        self.sample_occupancy_n(1);
-    }
-
-    /// Records `n` occupancy samples at the current occupancy — exactly
-    /// equivalent to `n` calls to [`IssueQueue::sample_occupancy`] while
-    /// the queue is untouched (the idle-tick back-fill of a parked clock
-    /// domain).
-    pub fn sample_occupancy_n(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.stats.occupancy_samples += n;
-        self.stats.occupancy_sum += self.entries.len() as u64 * n;
+        self.stats.occupancy_samples += 1;
+        self.stats.occupancy_sum += self.entries.len() as u64;
         self.stats.occupancy_peak = self.stats.occupancy_peak.max(self.entries.len());
     }
 }

@@ -151,16 +151,8 @@ impl StoreBuffer {
 
     /// Records an occupancy sample.
     pub fn sample_occupancy(&mut self) {
-        self.sample_occupancy_n(1);
-    }
-
-    /// Records `n` occupancy samples at the current occupancy — exactly
-    /// equivalent to `n` calls to [`StoreBuffer::sample_occupancy`] while
-    /// the buffer is untouched (the idle-tick back-fill of a parked clock
-    /// domain).
-    pub fn sample_occupancy_n(&mut self, n: u64) {
-        self.stats.occupancy_samples += n;
-        self.stats.occupancy_sum += self.entries.len() as u64 * n;
+        self.stats.occupancy_samples += 1;
+        self.stats.occupancy_sum += self.entries.len() as u64;
     }
 }
 

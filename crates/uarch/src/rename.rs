@@ -288,27 +288,9 @@ impl RenameUnit {
 
     /// Records an occupancy sample for statistics.
     pub fn sample_occupancy(&mut self) {
-        self.sample_occupancy_n(1);
-    }
-
-    /// Records `n` occupancy samples at the current occupancy — exactly
-    /// equivalent to `n` calls to [`RenameUnit::sample_occupancy`] while
-    /// the table is untouched (the idle-tick back-fill of a parked clock
-    /// domain; all counters are exact integers).
-    pub fn sample_occupancy_n(&mut self, n: u64) {
-        self.sample_occupancy_n_at(self.int_occupancy() + self.fp_occupancy(), n);
-    }
-
-    /// Records `n` occupancy samples at an explicit occupancy — the
-    /// back-fill form for a caller that froze the occupancy when the
-    /// domain parked (the table may have changed in the same instant the
-    /// domain was woken, strictly after the elided ticks).
-    pub fn sample_occupancy_n_at(&mut self, occupancy: u32, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.occupancy_samples += n;
-        self.occupancy_sum += u64::from(occupancy) * n;
+        let occupancy = self.int_occupancy() + self.fp_occupancy();
+        self.occupancy_samples += 1;
+        self.occupancy_sum += u64::from(occupancy);
         self.occupancy_peak = self.occupancy_peak.max(occupancy);
     }
 

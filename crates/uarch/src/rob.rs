@@ -202,27 +202,9 @@ impl<T> Rob<T> {
     /// Records an occupancy sample (the paper reports higher in-flight
     /// counts for GALS).
     pub fn sample_occupancy(&mut self) {
-        self.sample_occupancy_n(1);
-    }
-
-    /// Records `n` occupancy samples at the current occupancy — exactly
-    /// equivalent to `n` calls to [`Rob::sample_occupancy`] while the
-    /// buffer is untouched (the idle-tick back-fill of a parked clock
-    /// domain).
-    pub fn sample_occupancy_n(&mut self, n: u64) {
-        self.sample_occupancy_n_at(self.entries.len(), n);
-    }
-
-    /// Records `n` occupancy samples at an explicit occupancy — the
-    /// back-fill form for a caller that froze the occupancy when the
-    /// domain parked (the buffer may have changed in the same instant the
-    /// domain was woken, strictly after the elided ticks).
-    pub fn sample_occupancy_n_at(&mut self, occupancy: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.occupancy_samples += n;
-        self.occupancy_sum += occupancy as u64 * n;
+        let occupancy = self.entries.len();
+        self.occupancy_samples += 1;
+        self.occupancy_sum += occupancy as u64;
         self.occupancy_peak = self.occupancy_peak.max(occupancy);
     }
 

@@ -211,7 +211,7 @@ fn rendezvous_pausible_is_slower_than_latched_on_every_benchmark() {
             rdv.insts_per_ns(),
             latched.insts_per_ns()
         );
-        // The capacity cost is visible as producer cycles parked on
+        // The capacity cost is visible as producer cycles blocked on
         // occupied ports — and only the rendezvous machine pays it.
         assert!(
             rdv.total_rendezvous_blocked() > 0,
@@ -223,9 +223,9 @@ fn rendezvous_pausible_is_slower_than_latched_on_every_benchmark() {
 
 #[test]
 fn rendezvous_reports_are_bit_identical_across_schedulers_on_all_benchmarks() {
-    // The acceptance bar for the rendezvous mode: ClockSet (with idle-tick
-    // elision and park-and-retry producers) and the never-eliding Engine
-    // oracle agree on every report field, on all four ablation benchmarks.
+    // The acceptance bar for the rendezvous mode: ClockSet and the Engine
+    // oracle agree on every report field, with producers blocking and
+    // retrying on occupied ports, on all four ablation benchmarks.
     let limits = SimLimits::insts(6_000);
     for bench in [
         Benchmark::Gcc,

@@ -144,10 +144,9 @@ proptest! {
     /// both transfer models. Random clocks, phases and handshake
     /// durations generate arbitrary clock-stretch streams, and the
     /// rendezvous arm additionally generates arbitrary producer-block /
-    /// consumer-release (park-and-retry) streams on every single-entry
-    /// port; the static `ClockSet` fast path (with idle-tick elision) and
-    /// the general `Engine` oracle must still agree on every report field,
-    /// bit for bit.
+    /// consumer-release (block-and-retry) streams on every single-entry
+    /// port; the static `ClockSet` fast path and the general `Engine`
+    /// oracle must still agree on every report field, bit for bit.
     #[test]
     fn schedulers_bit_identical_under_random_stretch_and_block_streams(
         profile in arb_profile(),
