@@ -1441,12 +1441,12 @@ fn parse_target(tok: &Tok<'_>, line: u32) -> Result<RawTarget, AsmError> {
 
 fn parse_reg(tok: &Tok<'_>, line: u32) -> Result<ArchReg, AsmError> {
     let t = tok.text;
-    let (fp, idx) = match t.split_at(1.min(t.len())) {
-        ("r", rest) => (false, rest),
-        ("f", rest) => (true, rest),
-        _ => {
-            return err(AsmErrorKind::BadRegister(t.into()), line, tok.col);
-        }
+    let (fp, idx) = if let Some(rest) = t.strip_prefix('r') {
+        (false, rest)
+    } else if let Some(rest) = t.strip_prefix('f') {
+        (true, rest)
+    } else {
+        return err(AsmErrorKind::BadRegister(t.into()), line, tok.col);
     };
     match idx.parse::<u8>() {
         Ok(i) if i < 32 && !idx.starts_with('+') => {
@@ -1533,28 +1533,34 @@ fn parse_addr(tok: &Tok<'_>, line: u32) -> Result<(i64, u8), AsmError> {
     Ok((off, base))
 }
 
+/// Unsigned decimal or `0x` hex digits. A sign is rejected explicitly:
+/// `str::parse` and `from_str_radix` would accept a leading `+`.
+fn parse_magnitude(text: &str) -> Option<u64> {
+    let (digits, radix) = match text.strip_prefix("0x") {
+        Some(hex) => (hex, 16),
+        None => (text, 10),
+    };
+    if digits.starts_with(['+', '-']) {
+        return None;
+    }
+    u64::from_str_radix(digits, radix).ok()
+}
+
 fn parse_i64(tok: &Tok<'_>, line: u32) -> Result<i64, AsmError> {
     let t = tok.text;
     let (neg, body) = match t.strip_prefix('-') {
         Some(rest) => (true, rest),
         None => (false, t),
     };
-    let parsed = match body.strip_prefix("0x") {
-        Some(hex) => i64::from_str_radix(hex, 16),
-        None => body.parse::<i64>(),
-    };
-    match parsed {
-        Ok(v) => Ok(if neg { -v } else { v }),
-        Err(_) => err(AsmErrorKind::BadImmediate(t.into()), line, tok.col),
+    let magnitude = parse_magnitude(body).map(i128::from);
+    match magnitude.and_then(|m| i64::try_from(if neg { -m } else { m }).ok()) {
+        Some(v) => Ok(v),
+        None => err(AsmErrorKind::BadImmediate(t.into()), line, tok.col),
     }
 }
 
 fn parse_u64(tok: &Tok<'_>, line: u32) -> Result<u64, AsmError> {
-    let parsed = match tok.text.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => tok.text.parse::<u64>(),
-    };
-    parsed.map_err(|_| AsmError {
+    parse_magnitude(tok.text).ok_or_else(|| AsmError {
         kind: AsmErrorKind::BadImmediate(tok.text.into()),
         line,
         col: tok.col,
