@@ -358,6 +358,19 @@ pub(crate) fn mode_from_label(label: &str) -> Result<ModePoint, String> {
     }
 }
 
+/// A slowdown factor the clock model can run: finite and at least 1.0.
+/// Anything else would panic in the clock constructors, so the loader
+/// refuses it up front, naming the DVFS point.
+fn slowdown_factor(f: f64, label: &str) -> Result<f64, String> {
+    if f.is_finite() && f >= 1.0 {
+        Ok(f)
+    } else {
+        Err(format!(
+            "dvfs {label:?}: slowdown {f} must be finite and >= 1.0"
+        ))
+    }
+}
+
 fn dvfs_from_json(v: &Json) -> Result<DvfsPoint, String> {
     match v {
         Json::Str(s) if s == "nominal" => Ok(DvfsPoint::nominal()),
@@ -369,7 +382,7 @@ fn dvfs_from_json(v: &Json) -> Result<DvfsPoint, String> {
                 .ok_or_else(|| {
                     format!("unknown dvfs point {s:?} (expected nominal or uniform<F>x)")
                 })?;
-            Ok(DvfsPoint::uniform(factor))
+            Ok(DvfsPoint::uniform(slowdown_factor(factor, s)?))
         }
         Json::Obj(_) => {
             check_keys(v, "dvfs object", &["label", "slowdown"])?;
@@ -389,8 +402,7 @@ fn dvfs_from_json(v: &Json) -> Result<DvfsPoint, String> {
             let mut slowdown = [0.0; 5];
             for (i, item) in items.iter().enumerate() {
                 match item {
-                    Json::Num(f) if *f >= 1.0 => slowdown[i] = *f,
-                    Json::Num(f) => return Err(format!("dvfs {label:?}: slowdown {f} below 1.0")),
+                    Json::Num(f) => slowdown[i] = slowdown_factor(*f, &label)?,
                     other => {
                         return Err(format!(
                             "dvfs {label:?}: slowdown entries must be numbers, got {}",
@@ -699,6 +711,36 @@ mod tests {
         ] {
             assert!(Parser::new(bad).value().is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn dvfs_factors_the_clocks_cannot_run_are_rejected() {
+        let with_dvfs = |dvfs: &str| {
+            matrix_from_json(
+                &format!(
+                    r#"{{"benchmarks": ["gcc"], "modes": ["gals"], "phase_seeds": [1],
+                        "dvfs": [{dvfs}]}}"#
+                ),
+                1,
+            )
+        };
+        for (dvfs, label) in [
+            (r#""uniform0.5x""#, "uniform0.5x"),
+            (r#""uniformNaNx""#, "uniformNaNx"),
+            (r#""uniforminfx""#, "uniforminfx"),
+            (r#""uniform-1x""#, "uniform-1x"),
+            (r#"{"label": "h", "slowdown": [1e999, 1, 1, 1, 1]}"#, "h"),
+            (r#"{"label": "h", "slowdown": [0.5, 1, 1, 1, 1]}"#, "h"),
+        ] {
+            let e = with_dvfs(dvfs).unwrap_err();
+            assert!(
+                e.starts_with(&format!("dvfs {label:?}: slowdown "))
+                    && e.ends_with("must be finite and >= 1.0"),
+                "{dvfs}: {e}"
+            );
+        }
+        let ok = with_dvfs(r#""uniform1x", {"label": "fp2x", "slowdown": [1, 1, 1, 2, 1]}"#);
+        assert_eq!(ok.unwrap().dvfs.len(), 2);
     }
 
     #[test]
