@@ -265,9 +265,9 @@ pub struct Pipeline<'p> {
     /// `Time::MAX` disables (the per-tick check is a compare, not a scan).
     watchdog_span: Time,
     /// Set (once) when the commit watchdog detects the machine wedged.
-    /// [`Pipeline::done`] then reports the run finished so both drivers exit their loops, and
-    /// they surface the report as `SimError::Deadlock` instead of a
-    /// `SimReport`.
+    /// [`Pipeline::done`] then reports the run finished so both drivers
+    /// exit their loops, and they surface the report as
+    /// `SimError::Deadlock` instead of a `SimReport`.
     deadlock: Option<Box<DeadlockReport>>,
     /// The static analyzer's pre-flight verdict (worst warning's code),
     /// stamped by the drivers so a deadlock report can cross-reference

@@ -27,7 +27,7 @@ use std::path::Path;
 
 use gals::core::{simulate, SimLimits};
 use gals::sweep::stable_hash::{fnv1a, hex16};
-use gals::sweep::{sweep, RunSpec, SweepMatrix, SweepOptions, SweepRequest};
+use gals::sweep::{sweep, SweepMatrix, SweepOptions, SweepRequest};
 use gals::workload::{generate_workload, ProgramKernel, Workload};
 
 fn matrix() -> SweepMatrix {
@@ -62,23 +62,15 @@ fn render() -> String {
 }
 
 fn render_simreports() -> String {
-    let specs = matrix().expand();
-    let render = |specs: &[RunSpec]| {
-        let mut out = String::new();
-        for spec in specs {
-            let program = generate_workload(spec.benchmark, spec.workload_seed);
-            let report = simulate(&program, spec.config(), SimLimits::insts(spec.budget))
-                .unwrap_or_else(|e| panic!("{} fails: {e}", spec.key().to_hex()));
-            let digest = fnv1a(format!("{report:?}").as_bytes());
-            let _ = writeln!(out, "{} {}", spec.key().to_hex(), hex16(digest));
-        }
-        out
-    };
-    let (first, second) = specs.split_at(specs.len() / 2);
-    std::thread::scope(|s| {
-        let tail = s.spawn(|| render(second));
-        render(first) + &tail.join().expect("render the second half")
-    })
+    let mut out = String::new();
+    for spec in matrix().expand() {
+        let program = generate_workload(spec.benchmark, spec.workload_seed);
+        let report = simulate(&program, spec.config(), SimLimits::insts(spec.budget))
+            .unwrap_or_else(|e| panic!("{} fails: {e}", spec.key().to_hex()));
+        let digest = fnv1a(format!("{report:?}").as_bytes());
+        let _ = writeln!(out, "{} {}", spec.key().to_hex(), hex16(digest));
+    }
+    out
 }
 
 /// Compares `got` with the checked-in `tests/<name>`; on a mismatch writes
