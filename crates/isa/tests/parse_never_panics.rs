@@ -142,13 +142,6 @@ fn immediates_accept_the_full_i64_range_and_one_sign() {
     }
 }
 
-#[test]
-fn the_kernels_parse() {
-    for kernel in KERNELS {
-        parse(kernel).expect("checked-in kernel parses");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 

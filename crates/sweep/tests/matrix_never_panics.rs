@@ -100,13 +100,6 @@ fn mutate_token(g: &mut Gen) -> String {
     format!("{}{}{}", &text[..s], replacement, &text[e..])
 }
 
-#[test]
-fn the_examples_load() {
-    for example in EXAMPLES {
-        SweepMatrix::from_json(example, 1_000).expect("checked-in example loads");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
