@@ -34,7 +34,9 @@ fn allocs_for(program: &gals_isa::Program, cfg: &ProcessorConfig, insts: u64) ->
 #[test]
 fn steady_state_simulate_loop_allocates_nothing() {
     // Branchy integer code (squash paths hot) and FP-heavy code (all three
-    // clusters active), on both clocking styles the perf baseline tracks.
+    // clusters active), on all four machines of the paper matrix: most of
+    // its points are pausible, and the stretch and rendezvous paths are
+    // theirs alone.
     let small = 12_000;
     let large = 30_000;
     for bench in [Benchmark::Gcc, Benchmark::Fpppp] {
@@ -42,6 +44,8 @@ fn steady_state_simulate_loop_allocates_nothing() {
         for (label, cfg) in [
             ("sync", ProcessorConfig::synchronous_1ghz()),
             ("gals", ProcessorConfig::gals_equal_1ghz(1)),
+            ("latched", ProcessorConfig::pausible_equal_1ghz(1)),
+            ("rendezvous", ProcessorConfig::pausible_rendezvous_1ghz(1)),
         ] {
             // Warm-up run: fills lazily grown scratch (thread-local or
             // allocator-side caches don't matter — we diff counts).
