@@ -2,42 +2,25 @@
 //!
 //! ## The handle-based instruction store
 //!
-//! An in-flight instruction lives in exactly one place — a slot of
-//! [`InFlightTable`] — and every pipeline structure (the decode buffer, the
-//! inter-domain [`gals_clocks::Channel`]s, the ROB, the issue queues, the
-//! squash scratch buffers) carries only an 8-byte [`InstrId`] handle. The
-//! table is a slab: freed slots are recycled through a free list, so its
-//! footprint tracks the *live* instruction count (bounded by ROB + channel
-//! capacities — a few hundred entries that stay resident in L1/L2) rather
-//! than the live *sequence spread* of the previous direct-mapped ring,
-//! which grew with wrong-path squash bursts.
-//!
-//! The per-instruction state is split along the hot/cold line, into two
-//! parallel arrays indexed by slot:
-//!
-//! * **Hot** fields — the ones the steady-state loop probes several times
-//!   per instruction (sequence number, op class, wrong-path / completed /
-//!   exit / mispredict flags, renamed source tags, destination rename) —
-//!   are packed into one 32-byte record per slot, so the commit scan,
-//!   issue admission and writeback touch a single cache line per probe
-//!   and the squash scan walks a dense array. (An early draft split the
-//!   hot fields into per-field columns; for this table's point-lookup
-//!   access pattern that touches *more* lines per probe, not fewer — the
-//!   split that pays is hot-record vs cold-record.)
-//! * **Cold** fields — branch info, the fetch/FIFO slip timestamps, the
-//!   memory address, the PC and the architectural operands — live in a
-//!   parallel array of [`InFlightCold`] records, written at fetch and
-//!   read back at rename, memory issue, recovery and commit.
+//! An in-flight instruction lives in exactly one place — one [`InFlight`]
+//! record in a slot of [`InFlightTable`] — and every pipeline structure
+//! (the decode buffer, the inter-domain [`gals_clocks::Channel`]s, the ROB,
+//! the issue queues) carries only an 8-byte [`InstrId`] handle. Each stage
+//! reads and writes the record's fields through
+//! [`InFlightTable::get`]/[`InFlightTable::get_mut`]. The table is a slab:
+//! freed slots are recycled through a free list, so its footprint tracks
+//! the *live* instruction count (bounded by ROB + channel capacities — a
+//! few hundred entries) rather than the sequence spread, which grows with
+//! wrong-path squash bursts.
 //!
 //! Handles are generation-checked: [`InstrId`] packs a slot index with the
-//! slot's generation, and every accessor returns `None`/`false` for a
-//! handle whose instruction has been removed (committed or squashed), even
-//! if the slot has been reused — the same "stale message is a no-op"
-//! semantics the pipeline's completion and issue paths relied on when they
-//! carried raw sequence numbers.
+//! slot's generation, which every removal bumps. A handle whose
+//! instruction has been removed (committed or squashed) therefore reads as
+//! `None`, even after the slot has been reused — so a stale completion or
+//! issue message is a no-op.
 
 use gals_events::Time;
-use gals_isa::{ArchReg, Cluster, OpClass};
+use gals_isa::{ArchReg, OpClass};
 use gals_uarch::PhysReg;
 
 /// A unified wakeup tag covering both register classes: integer physical
@@ -160,10 +143,6 @@ pub struct BranchInfo {
 /// Destination rename record: `(arch, new phys tag, old phys reg)`.
 pub type DstRename = (ArchReg, Tag, PhysReg);
 
-/// Rename-stage view of one instruction:
-/// `(seq, op, arch_dst, arch_srcs)` — see [`InFlightTable::rename_view`].
-pub type RenameView = (u64, OpClass, Option<ArchReg>, [Option<ArchReg>; 2]);
-
 /// The handle to one live in-flight instruction: a slot index into
 /// [`InFlightTable`] packed with the slot's generation. 8 bytes — the only
 /// thing pipeline structures store per instruction.
@@ -195,33 +174,11 @@ impl InstrId {
     }
 }
 
-/// The cold half of an in-flight instruction: fields written at fetch and
-/// read back at rename, memory issue, recovery and commit — kept out of
-/// the hot columns so the per-cycle scans never pull them into cache.
+/// One in-flight instruction: what the front end records at fetch, plus
+/// the fields later stages fill in (the rename results, the completion
+/// flag and the accumulated channel residency).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InFlightCold {
-    /// Byte PC.
-    pub pc: u64,
-    /// Architectural destination register (copied from the static
-    /// instruction at fetch so rename never re-locates the PC).
-    pub arch_dst: Option<ArchReg>,
-    /// Architectural source registers, same provenance.
-    pub arch_srcs: [Option<ArchReg>; 2],
-    /// Memory byte address for loads/stores.
-    pub mem_addr: Option<u64>,
-    /// Branch details.
-    pub branch: Option<BranchInfo>,
-    /// Fetch timestamp (slip starts here).
-    pub fetched_at: Time,
-    /// Accumulated channel residency (the FIFO share of slip).
-    pub fifo_time: Time,
-}
-
-/// Everything the front end knows about one fetched instruction — the
-/// argument to [`InFlightTable::insert`], written field-by-field into the
-/// hot columns and the cold record exactly once.
-#[derive(Debug, Clone, Copy)]
-pub struct FetchedInstr {
+pub struct InFlight {
     /// Global fetch sequence number (never reused; program order among
     /// correct-path instructions).
     pub seq: u64,
@@ -231,122 +188,77 @@ pub struct FetchedInstr {
     pub op: OpClass,
     /// True if fetched while the front end was on a mispredicted path.
     pub wrong_path: bool,
-    /// Architectural destination register.
+    /// True for the program's final instruction.
+    pub is_exit: bool,
+    /// Set when the completion notice reaches the decode domain; commit
+    /// waits for it at the ROB head.
+    pub completed: bool,
+    /// Architectural destination register (copied from the static
+    /// instruction at fetch so rename never re-locates the PC).
     pub arch_dst: Option<ArchReg>,
-    /// Architectural source registers.
+    /// Architectural source registers, same provenance.
     pub arch_srcs: [Option<ArchReg>; 2],
     /// Memory byte address for loads/stores.
     pub mem_addr: Option<u64>,
     /// Branch details.
     pub branch: Option<BranchInfo>,
-    /// True once this is the program's final instruction.
-    pub is_exit: bool,
-    /// Fetch timestamp.
-    pub fetched_at: Time,
-}
-
-/// Everything retirement needs from the table, returned by
-/// [`InFlightTable::remove_retired`] in one probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetiredInstr {
-    /// Operation class.
-    pub op: OpClass,
-    /// Destination rename (release the old mapping).
+    /// Renamed source tags (filled at rename).
+    pub srcs: SrcTags,
+    /// Destination rename (filled at rename).
     pub dst: Option<DstRename>,
-    /// True for a wrong-path instruction (must never retire).
-    pub wrong_path: bool,
-    /// True for the program's final instruction.
-    pub is_exit: bool,
-    /// Fetch timestamp.
+    /// Fetch timestamp (slip starts here).
     pub fetched_at: Time,
-    /// Accumulated channel residency.
+    /// Accumulated channel residency (the FIFO share of slip).
     pub fifo_time: Time,
 }
 
-/// Per-slot hot flags, packed into one byte.
-mod flag {
-    pub const LIVE: u8 = 1 << 0;
-    pub const WRONG_PATH: u8 = 1 << 1;
-    pub const COMPLETED: u8 = 1 << 2;
-    pub const IS_EXIT: u8 = 1 << 3;
-    /// Correct-path branch the front end detected as mispredicted — kept
-    /// hot so writeback never touches the cold record unless it actually
-    /// launches a recovery.
-    pub const MISPREDICT: u8 = 1 << 4;
-}
-
-/// One slot's hot record: the fields the steady-state loop probes several
-/// times per instruction, packed into 32 bytes so a probe touches a single
-/// cache line. The generation lives here too — the staleness check and the
-/// field read share the load.
+/// One slab slot: the generation stamped into handles, and the occupant.
 #[derive(Debug, Clone, Copy)]
-struct HotEntry {
-    /// Sequence number (program order key; valid only for live slots).
-    seq: u64,
-    /// Slot generation, bumped at each removal.
+struct Slot {
+    /// Bumped at each removal, so older handles to this slot go stale.
     gen: u32,
-    /// Op class.
-    op: OpClass,
-    /// `flag::*` bits; `LIVE` distinguishes occupied slots.
-    flags: u8,
-    /// Renamed source tags (filled at rename).
-    srcs: SrcTags,
-    /// Destination rename (filled at rename).
-    dst: Option<DstRename>,
+    instr: Option<InFlight>,
 }
 
-const EMPTY_HOT: HotEntry = HotEntry {
-    seq: 0,
+const EMPTY_SLOT: Slot = Slot {
     gen: 0,
-    op: OpClass::IntAlu,
-    flags: 0,
-    srcs: SrcTags {
-        tags: [Tag(0); 2],
-        len: 0,
-    },
-    dst: None,
+    instr: None,
 };
 
 /// The slab-backed in-flight instruction store (see the module docs).
 ///
-/// The pipeline probes this table around ten times per simulated
-/// instruction (fetch insert, decode pull, rename, dispatch, issue
-/// admission, writeback, completion, commit); each probe is a direct slot
-/// index plus a generation compare into the packed hot record, touching
-/// the cold record only where the stage genuinely needs it.
-///
 /// # Examples
 ///
 /// ```
-/// use gals_core::inflight::{FetchedInstr, InFlightTable};
+/// use gals_core::inflight::{InFlight, InFlightTable, SrcTags};
 /// use gals_events::Time;
 /// use gals_isa::OpClass;
 ///
 /// let mut t = InFlightTable::with_capacity(8);
-/// let id = t.insert(FetchedInstr {
+/// let id = t.insert(InFlight {
 ///     seq: 7,
 ///     pc: 28,
 ///     op: OpClass::IntAlu,
 ///     wrong_path: false,
+///     is_exit: false,
+///     completed: false,
 ///     arch_dst: None,
 ///     arch_srcs: [None, None],
 ///     mem_addr: None,
 ///     branch: None,
-///     is_exit: false,
+///     srcs: SrcTags::new(),
+///     dst: None,
 ///     fetched_at: Time::ZERO,
+///     fifo_time: Time::ZERO,
 /// });
-/// assert_eq!(t.seq_of(id), Some(7));
-/// t.set_completed(id);
-/// assert!(t.is_completed(id));
-/// assert!(t.remove(id));
-/// assert_eq!(t.seq_of(id), None); // stale handle: refers to nothing
+/// assert_eq!(t.get(id).map(|f| f.seq), Some(7));
+/// t.get_mut(id).expect("live").completed = true;
+/// assert!(t.remove(id).is_some_and(|f| f.completed));
+/// assert!(t.get(id).is_none()); // stale handle: refers to nothing
 /// ```
 #[derive(Debug)]
 pub struct InFlightTable {
-    /// Hot records, indexed by slot.
-    hot: Vec<HotEntry>,
-    /// Cold records, indexed by slot.
-    cold: Vec<InFlightCold>,
+    slots: Vec<Slot>,
     /// Recycled slot indices.
     free: Vec<u32>,
     live: usize,
@@ -356,16 +268,6 @@ pub struct InFlightTable {
 /// inserted but never committed or squashed), which is a simulator bug.
 const INFLIGHT_CAP_CEILING: usize = 1 << 24;
 
-const EMPTY_COLD: InFlightCold = InFlightCold {
-    pc: 0,
-    arch_dst: None,
-    arch_srcs: [None, None],
-    mem_addr: None,
-    branch: None,
-    fetched_at: Time::ZERO,
-    fifo_time: Time::ZERO,
-};
-
 impl InFlightTable {
     /// A table pre-sized for `capacity` simultaneously live instructions
     /// (it grows slot-by-slot beyond that, amortised O(1); the live count
@@ -373,8 +275,7 @@ impl InFlightTable {
     /// never grows after construction).
     pub fn with_capacity(capacity: usize) -> Self {
         InFlightTable {
-            hot: vec![EMPTY_HOT; capacity],
-            cold: vec![EMPTY_COLD; capacity],
+            slots: vec![EMPTY_SLOT; capacity],
             free: (0..capacity as u32).rev().collect(),
             live: 0,
         }
@@ -392,7 +293,7 @@ impl InFlightTable {
 
     /// Current slot capacity.
     pub fn capacity(&self) -> usize {
-        self.hot.len()
+        self.slots.len()
     }
 
     /// Inserts a fetched instruction and returns its handle.
@@ -402,279 +303,70 @@ impl InFlightTable {
     /// Panics if growth passes `INFLIGHT_CAP_CEILING` (2²⁴ slots) —
     /// instructions are leaking, which indicates a simulator bug, never a
     /// user error.
-    pub fn insert(&mut self, f: FetchedInstr) -> InstrId {
+    pub fn insert(&mut self, instr: InFlight) -> InstrId {
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
                 assert!(
-                    self.hot.len() < INFLIGHT_CAP_CEILING,
+                    self.slots.len() < INFLIGHT_CAP_CEILING,
                     "in-flight table grew past {INFLIGHT_CAP_CEILING} slots: instruction leak"
                 );
-                self.hot.push(EMPTY_HOT);
-                self.cold.push(EMPTY_COLD);
-                (self.hot.len() - 1) as u32
+                self.slots.push(EMPTY_SLOT);
+                (self.slots.len() - 1) as u32
             }
         };
-        let i = slot as usize;
-        let mispredict = !f.wrong_path && f.branch.is_some_and(|b| b.mispredicted);
-        let h = &mut self.hot[i];
-        debug_assert_eq!(h.flags & flag::LIVE, 0, "free list returned a live slot");
-        h.seq = f.seq;
-        h.op = f.op;
-        h.flags = flag::LIVE
-            | if f.wrong_path { flag::WRONG_PATH } else { 0 }
-            | if f.is_exit { flag::IS_EXIT } else { 0 }
-            | if mispredict { flag::MISPREDICT } else { 0 };
-        h.srcs = SrcTags::new();
-        h.dst = None;
-        let gen = h.gen;
-        self.cold[i] = InFlightCold {
-            pc: f.pc,
-            arch_dst: f.arch_dst,
-            arch_srcs: f.arch_srcs,
-            mem_addr: f.mem_addr,
-            branch: f.branch,
-            fetched_at: f.fetched_at,
-            fifo_time: Time::ZERO,
-        };
+        let s = &mut self.slots[slot as usize];
+        debug_assert!(s.instr.is_none(), "free list returned a live slot");
+        s.instr = Some(instr);
         self.live += 1;
-        InstrId { slot, gen }
+        InstrId { slot, gen: s.gen }
     }
 
-    /// The hot record of a live handle, or `None` if stale. The generation
-    /// check alone is sufficient: a removal bumps the slot's generation, so
-    /// a handle matching the current generation is necessarily the live
-    /// occupant (the `LIVE` flag exists for the `remove_younger` scan).
+    /// The instruction behind a live handle, or `None` for a stale one.
     #[inline]
-    fn hot(&self, id: InstrId) -> Option<&HotEntry> {
-        let h = &self.hot[id.slot as usize];
-        debug_assert!(
-            h.gen != id.gen || h.flags & flag::LIVE != 0,
-            "generation matched a freed slot"
-        );
-        (h.gen == id.gen).then_some(h)
-    }
-
-    /// Mutable form of [`InFlightTable::hot`].
-    #[inline]
-    fn hot_mut(&mut self, id: InstrId) -> Option<&mut HotEntry> {
-        let h = &mut self.hot[id.slot as usize];
-        debug_assert!(
-            h.gen != id.gen || h.flags & flag::LIVE != 0,
-            "generation matched a freed slot"
-        );
-        (h.gen == id.gen).then_some(h)
-    }
-
-    /// Slot index of a live handle, or `None` if stale.
-    #[inline]
-    fn index(&self, id: InstrId) -> Option<usize> {
-        self.hot(id).map(|_| id.slot as usize)
-    }
-
-    /// True while the handle's instruction is live.
-    #[inline]
-    pub fn contains(&self, id: InstrId) -> bool {
-        self.hot(id).is_some()
-    }
-
-    /// Sequence number, or `None` for a stale handle.
-    #[inline]
-    pub fn seq_of(&self, id: InstrId) -> Option<u64> {
-        self.hot(id).map(|h| h.seq)
-    }
-
-    /// Op class, or `None` for a stale handle.
-    #[inline]
-    pub fn op_of(&self, id: InstrId) -> Option<OpClass> {
-        self.hot(id).map(|h| h.op)
-    }
-
-    /// The execution cluster the instruction issues to.
-    #[inline]
-    pub fn cluster_of(&self, id: InstrId) -> Option<Cluster> {
-        self.op_of(id).map(|op| op.cluster())
-    }
-
-    /// True if the instruction is live and was fetched on the wrong path.
-    #[inline]
-    pub fn is_wrong_path(&self, id: InstrId) -> bool {
-        self.hot(id)
-            .is_some_and(|h| h.flags & flag::WRONG_PATH != 0)
-    }
-
-    /// True if the instruction is live and has reported completion.
-    #[inline]
-    pub fn is_completed(&self, id: InstrId) -> bool {
-        self.hot(id).is_some_and(|h| h.flags & flag::COMPLETED != 0)
-    }
-
-    /// True if the instruction is live and is the program's exit.
-    #[inline]
-    pub fn is_exit(&self, id: InstrId) -> bool {
-        self.hot(id).is_some_and(|h| h.flags & flag::IS_EXIT != 0)
-    }
-
-    /// Marks completion (no-op on a stale handle).
-    #[inline]
-    pub fn set_completed(&mut self, id: InstrId) {
-        if let Some(h) = self.hot_mut(id) {
-            h.flags |= flag::COMPLETED;
+    pub fn get(&self, id: InstrId) -> Option<&InFlight> {
+        let s = self.slots.get(id.slot as usize)?;
+        if s.gen == id.gen {
+            s.instr.as_ref()
+        } else {
+            None
         }
     }
 
-    /// One-probe completion absorption: adds the completion channel's
-    /// residency and sets the completed flag (stale no-op).
+    /// Mutable form of [`InFlightTable::get`].
     #[inline]
-    pub fn complete_with_residency(&mut self, id: InstrId, residency: Time) {
-        if let Some(i) = self.index(id) {
-            self.hot[i].flags |= flag::COMPLETED;
-            self.cold[i].fifo_time += residency;
+    pub fn get_mut(&mut self, id: InstrId) -> Option<&mut InFlight> {
+        let s = self.slots.get_mut(id.slot as usize)?;
+        if s.gen == id.gen {
+            s.instr.as_mut()
+        } else {
+            None
         }
     }
 
-    /// Renamed source tags (meaningful after rename).
-    #[inline]
-    pub fn srcs_of(&self, id: InstrId) -> Option<SrcTags> {
-        self.hot(id).map(|h| h.srcs)
-    }
-
-    /// Destination rename (meaningful after rename); `None` also for a
-    /// stale handle.
-    #[inline]
-    pub fn dst_of(&self, id: InstrId) -> Option<DstRename> {
-        self.hot(id).and_then(|h| h.dst)
-    }
-
-    /// Stores the rename results (no-op on a stale handle).
-    #[inline]
-    pub fn set_rename(&mut self, id: InstrId, srcs: SrcTags, dst: Option<DstRename>) {
-        if let Some(h) = self.hot_mut(id) {
-            h.srcs = srcs;
-            h.dst = dst;
+    /// Removes the instruction, freeing its slot for reuse, and returns
+    /// it. `None` for a stale handle.
+    pub fn remove(&mut self, id: InstrId) -> Option<InFlight> {
+        let s = self.slots.get_mut(id.slot as usize)?;
+        if s.gen != id.gen {
+            return None;
         }
-    }
-
-    /// The cold record, or `None` for a stale handle.
-    #[inline]
-    pub fn cold_of(&self, id: InstrId) -> Option<&InFlightCold> {
-        self.index(id).map(|i| &self.cold[i])
-    }
-
-    /// Adds channel residency to the instruction's FIFO-slip accumulator
-    /// (no-op on a stale handle). Returns `true` if the handle was live.
-    #[inline]
-    pub fn add_fifo_time(&mut self, id: InstrId, residency: Time) -> bool {
-        match self.index(id) {
-            Some(i) => {
-                self.cold[i].fifo_time += residency;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Architectural operands captured at fetch: `(dst, [src1, src2])`.
-    #[inline]
-    pub fn arch_ops_of(&self, id: InstrId) -> Option<(Option<ArchReg>, [Option<ArchReg>; 2])> {
-        self.index(id)
-            .map(|i| (self.cold[i].arch_dst, self.cold[i].arch_srcs))
-    }
-
-    /// One-probe rename view: `(seq, op, arch_dst, arch_srcs)`.
-    #[inline]
-    pub fn rename_view(&self, id: InstrId) -> Option<RenameView> {
-        let i = self.index(id)?;
-        let h = &self.hot[i];
-        let c = &self.cold[i];
-        Some((h.seq, h.op, c.arch_dst, c.arch_srcs))
-    }
-
-    /// One-probe writeback view: `(seq, dst rename, is-mispredicted)` —
-    /// hot record only; a recovery launch reads the cold record through
-    /// [`InFlightTable::recovery_pc_of`].
-    #[inline]
-    pub fn writeback_view(&self, id: InstrId) -> Option<(u64, Option<DstRename>, bool)> {
-        self.hot(id)
-            .map(|h| (h.seq, h.dst, h.flags & flag::MISPREDICT != 0))
-    }
-
-    /// Recovery target of a mispredicted branch (cold record).
-    #[inline]
-    pub fn recovery_pc_of(&self, id: InstrId) -> Option<u64> {
-        self.index(id)
-            .and_then(|i| self.cold[i].branch.map(|b| b.recovery_pc))
-    }
-
-    /// One-probe dispatch absorption: adds the channel residency to the
-    /// instruction's FIFO-slip accumulator and returns its `(seq, renamed
-    /// source tags)`. `None` (and no accumulation) for a stale handle.
-    #[inline]
-    pub fn absorb_dispatch(&mut self, id: InstrId, residency: Time) -> Option<(u64, SrcTags)> {
-        let i = self.index(id)?;
-        self.cold[i].fifo_time += residency;
-        let h = &self.hot[i];
-        Some((h.seq, h.srcs))
-    }
-
-    /// One-probe issue view: `(seq, op, wrong_path)`.
-    #[inline]
-    pub fn issue_view(&self, id: InstrId) -> Option<(u64, OpClass, bool)> {
-        self.hot(id)
-            .map(|h| (h.seq, h.op, h.flags & flag::WRONG_PATH != 0))
-    }
-
-    /// Memory byte address (cold record; loads/stores only).
-    #[inline]
-    pub fn mem_addr_of(&self, id: InstrId) -> Option<u64> {
-        self.index(id).and_then(|i| self.cold[i].mem_addr)
-    }
-
-    /// Removes the instruction at commit, returning everything retirement
-    /// needs in one probe. `None` for a stale handle.
-    pub fn remove_retired(&mut self, id: InstrId) -> Option<RetiredInstr> {
-        let i = self.index(id)?;
-        let h = &mut self.hot[i];
-        let retired = RetiredInstr {
-            op: h.op,
-            dst: h.dst,
-            wrong_path: h.flags & flag::WRONG_PATH != 0,
-            is_exit: h.flags & flag::IS_EXIT != 0,
-            fetched_at: self.cold[i].fetched_at,
-            fifo_time: self.cold[i].fifo_time,
-        };
-        h.flags = 0;
-        h.gen = h.gen.wrapping_add(1);
+        let instr = s.instr.take()?;
+        s.gen = s.gen.wrapping_add(1);
         self.free.push(id.slot);
         self.live -= 1;
-        Some(retired)
-    }
-
-    /// Removes the instruction, freeing its slot for reuse. Returns `false`
-    /// for a stale handle.
-    pub fn remove(&mut self, id: InstrId) -> bool {
-        match self.hot_mut(id) {
-            Some(h) => {
-                h.flags = 0;
-                h.gen = h.gen.wrapping_add(1);
-                self.free.push(id.slot);
-                self.live -= 1;
-                true
-            }
-            None => false,
-        }
+        Some(instr)
     }
 
     /// Removes every live instruction with `seq > older_than` — the squash
     /// shape: everything younger than the mispredicted branch. The scan is
     /// O(capacity), and the capacity tracks the peak live count (a few
-    /// hundred hot records, a handful of cache lines), so recovery stays
-    /// cheap and allocation-free.
+    /// hundred slots), so recovery stays cheap and allocation-free.
     pub fn remove_younger(&mut self, older_than: u64) {
-        for (i, h) in self.hot.iter_mut().enumerate() {
-            if h.flags & flag::LIVE != 0 && h.seq > older_than {
-                h.flags = 0;
-                h.gen = h.gen.wrapping_add(1);
+        for (i, s) in self.slots.iter_mut().enumerate() {
+            if s.instr.as_ref().is_some_and(|f| f.seq > older_than) {
+                s.instr = None;
+                s.gen = s.gen.wrapping_add(1);
                 self.free.push(i as u32);
                 self.live -= 1;
             }
@@ -697,18 +389,22 @@ pub struct Redirect {
 mod tests {
     use super::*;
 
-    fn dummy(seq: u64) -> FetchedInstr {
-        FetchedInstr {
+    fn dummy(seq: u64) -> InFlight {
+        InFlight {
             seq,
             pc: seq * 4,
             op: OpClass::IntAlu,
             wrong_path: false,
+            is_exit: false,
+            completed: false,
             arch_dst: None,
             arch_srcs: [None, None],
             mem_addr: None,
             branch: None,
-            is_exit: false,
+            srcs: SrcTags::new(),
+            dst: None,
             fetched_at: Time::ZERO,
+            fifo_time: Time::ZERO,
         }
     }
 
@@ -719,15 +415,24 @@ mod tests {
         let a = t.insert(dummy(5));
         let b = t.insert(dummy(6));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.cold_of(a).map(|c| c.pc), Some(20));
-        assert_eq!(t.seq_of(b), Some(6));
-        t.set_completed(b);
-        assert!(t.is_completed(b));
-        assert!(!t.is_completed(a));
-        assert!(t.remove(a));
-        assert!(!t.remove(a), "double remove is a stale no-op");
+        assert_eq!(t.get(a).map(|f| f.pc), Some(20));
+        assert_eq!(t.get(b).map(|f| f.seq), Some(6));
+        let dst = Some((ArchReg::int(1), Tag(40), PhysReg(9)));
+        let f = t.get_mut(b).expect("live");
+        f.completed = true;
+        f.srcs.push(Tag(17));
+        f.dst = dst;
+        f.fifo_time += Time::from_ns(2);
+        assert!(!t.get(a).expect("live").completed);
+        let removed = t.remove(b).expect("live handle");
+        assert!(removed.completed);
+        assert_eq!(removed.srcs.iter().collect::<Vec<_>>(), vec![Tag(17)]);
+        assert_eq!(removed.dst, dst);
+        assert_eq!(removed.fifo_time, Time::from_ns(2));
+        assert!(t.remove(b).is_none(), "double remove is a stale no-op");
         assert_eq!(t.len(), 1);
-        assert_eq!(t.seq_of(a), None);
+        assert!(t.get(b).is_none());
+        assert!(t.get_mut(b).is_none());
     }
 
     #[test]
@@ -738,11 +443,10 @@ mod tests {
         let b = t.insert(dummy(2));
         // `b` reuses `a`'s slot; the generation check keeps them distinct.
         assert_ne!(a, b);
-        assert_eq!(t.seq_of(a), None);
-        assert!(!t.is_completed(a));
-        t.set_completed(a); // stale no-op
-        assert!(!t.is_completed(b));
-        assert_eq!(t.seq_of(b), Some(2));
+        assert!(t.get(a).is_none());
+        assert!(t.get_mut(a).is_none());
+        assert!(t.remove(a).is_none());
+        assert_eq!(t.get(b).map(|f| f.seq), Some(2));
     }
 
     #[test]
@@ -752,7 +456,7 @@ mod tests {
         assert_eq!(t.len(), 10);
         assert!(t.capacity() >= 10);
         for (s, id) in ids.iter().enumerate() {
-            assert_eq!(t.seq_of(*id), Some(s as u64));
+            assert_eq!(t.get(*id).map(|f| f.seq), Some(s as u64));
         }
     }
 
@@ -762,35 +466,9 @@ mod tests {
         let ids: Vec<InstrId> = (0..10).map(|s| t.insert(dummy(s))).collect();
         t.remove_younger(3);
         assert_eq!(t.len(), 4);
-        assert!(t.contains(ids[3]));
-        assert!(!t.contains(ids[4]));
-        assert!(!t.contains(ids[9]));
-    }
-
-    #[test]
-    fn rename_fields_are_stored_on_the_hot_side() {
-        let mut t = InFlightTable::with_capacity(4);
-        let id = t.insert(dummy(3));
-        let mut srcs = SrcTags::new();
-        srcs.push(Tag(17));
-        let dst = Some((ArchReg::int(1), Tag(40), PhysReg(9)));
-        t.set_rename(id, srcs, dst);
-        assert_eq!(
-            t.srcs_of(id).unwrap().iter().collect::<Vec<_>>(),
-            vec![Tag(17)]
-        );
-        assert_eq!(t.dst_of(id), dst);
-    }
-
-    #[test]
-    fn fifo_time_accumulates_in_the_cold_record() {
-        let mut t = InFlightTable::with_capacity(4);
-        let id = t.insert(dummy(3));
-        assert!(t.add_fifo_time(id, Time::from_ns(2)));
-        assert!(t.add_fifo_time(id, Time::from_ns(1)));
-        assert_eq!(t.cold_of(id).unwrap().fifo_time, Time::from_ns(3));
-        t.remove(id);
-        assert!(!t.add_fifo_time(id, Time::from_ns(1)));
+        assert!(t.get(ids[3]).is_some());
+        assert!(t.get(ids[4]).is_none());
+        assert!(t.get(ids[9]).is_none());
     }
 
     #[test]

@@ -60,10 +60,7 @@ pub use config::ChaosFaults;
 pub use config::{Clocking, DvfsPlan, ProcessorConfig, SimLimits};
 pub use error::{DeadlockReport, PortState, SimError};
 pub use gals_analysis::{codes, AnalysisReport, Finding, Severity};
-pub use inflight::{
-    BranchInfo, FetchedInstr, InFlightCold, InFlightTable, InstrId, Redirect, RetiredInstr,
-    SrcTags, Tag,
-};
+pub use inflight::{BranchInfo, InFlight, InFlightTable, InstrId, Redirect, SrcTags, Tag};
 pub use pipeline::Pipeline;
 pub use report::{DomainCycles, SimReport};
 pub use sim::{simulate, simulate_with_engine};

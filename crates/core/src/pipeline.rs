@@ -24,8 +24,9 @@
 //! Instruction state lives once, in the slab-backed [`InFlightTable`];
 //! everything that flows between stages — the decode buffer, the ROB, the
 //! issue-queue tokens, every inter-domain channel — is an 8-byte
-//! [`InstrId`] handle. See `crate::inflight` for the hot/cold
-//! struct-of-arrays layout and the stale-handle semantics.
+//! [`InstrId`] handle. Each stage reads and writes the instruction's one
+//! [`InFlight`] record through the handle; see `crate::inflight` for the
+//! slab and the stale-handle semantics.
 //!
 //! ## Driving the pipeline
 //!
@@ -53,14 +54,14 @@ use std::collections::VecDeque;
 
 use gals_clocks::{Channel, Domain, PausibleModel};
 use gals_events::Time;
-use gals_isa::{Cluster, DynStream, Inst, OpClass, Program, EXIT_PC};
+use gals_isa::{Cluster, DynStream, OpClass, Program, EXIT_PC};
 use gals_power::{MacroBlock, PowerAccountant};
 use gals_uarch::{BranchPredictor, Cache, FuPool, IssueQueue, RenameUnit, Rob, StoreBuffer};
 
 use crate::config::{Clocking, ProcessorConfig, SimLimits};
 use crate::error::{DeadlockReport, PortState};
 use crate::inflight::{
-    BranchInfo, FetchedInstr, InFlightTable, InstrId, Redirect, SrcTags, Tag, TAG_SPACE,
+    BranchInfo, InFlight, InFlightTable, InstrId, Redirect, SrcTags, Tag, TAG_SPACE,
 };
 use crate::report::SimReport;
 
@@ -175,11 +176,9 @@ pub struct Pipeline<'p> {
     // ---- decode/rename/commit (domain 2) ----
     decode_buf: VecDeque<InstrId>,
     rename: RenameUnit,
-    /// Enforces program order only: completion is tracked on the in-flight
-    /// table (the `completed` hot flag), so `Rob::complete`/`RobStatus` are
-    /// deliberately not driven here — the head is popped with
-    /// [`Rob::pop_head`] once its in-flight entry reports complete. Do not
-    /// read this ROB's per-entry status.
+    /// Program order only: completion is the in-flight record's
+    /// `completed` flag, and commit pops the head with [`Rob::pop_head`]
+    /// once it is set.
     rob: Rob<InstrId>,
     decode_cycle: u64,
 
@@ -201,17 +200,12 @@ pub struct Pipeline<'p> {
     // ---- bookkeeping ----
     inflight: InFlightTable,
     next_seq: u64,
-    /// The one unresolved-recovery mispredicted branch (see module docs of
-    /// `inflight`): set at resolution, cleared when fetch recovers.
+    /// The one unresolved-recovery mispredicted branch: set at resolution,
+    /// cleared when fetch recovers.
     pending_recovery: Option<u64>,
     committed: u64,
     fetched: u64,
     wrong_path_fetched: u64,
-    /// Reusable recovery scratch for the ROB squash walk, so branch
-    /// recovery allocates nothing even under branchy sweep workloads.
-    rob_squash_scratch: Vec<InstrId>,
-    /// Reusable recovery scratch for the IQ squash walks (opaque tokens).
-    squash_scratch: Vec<u64>,
     slip_total: Time,
     slip_fifo: Time,
     store_forwards_total: u64,
@@ -368,8 +362,6 @@ impl<'p> Pipeline<'p> {
             committed: 0,
             fetched: 0,
             wrong_path_fetched: 0,
-            rob_squash_scratch: Vec::with_capacity(u.rob_size),
-            squash_scratch: Vec::with_capacity(u.int_iq_size.max(u.fp_iq_size).max(u.mem_iq_size)),
             slip_total: Time::ZERO,
             slip_fifo: Time::ZERO,
             store_forwards_total: 0,
@@ -534,7 +526,9 @@ impl<'p> Pipeline<'p> {
         while let Some((r, res)) = self.ch_redirect.try_pop_timed(now) {
             // The redirect's residency is pipeline recovery latency; it is
             // charged to the mispredicted branch for slip accounting.
-            self.inflight.add_fifo_time(r.branch, res);
+            if let Some(b) = self.inflight.get_mut(r.branch) {
+                b.fifo_time += res;
+            }
             self.process_redirect(r);
         }
 
@@ -700,18 +694,23 @@ impl<'p> Pipeline<'p> {
         }
 
         let seq = self.alloc_seq();
-        let static_inst = &self.program.block(d.block).insts[d.index as usize];
-        let is_exit = d.is_exit();
-        self.push_fetched(Self::make_fetched(
+        let inst = &self.program.block(d.block).insts[d.index as usize];
+        self.push_fetched(InFlight {
             seq,
-            d.pc,
-            static_inst,
-            false,
-            d.mem_addr,
-            branch_info,
-            is_exit,
-            self.now,
-        ));
+            pc: d.pc,
+            op: inst.op,
+            wrong_path: false,
+            is_exit: d.is_exit(),
+            completed: false,
+            arch_dst: inst.dst,
+            arch_srcs: [inst.src1, inst.src2],
+            mem_addr: d.mem_addr,
+            branch: branch_info,
+            srcs: SrcTags::new(),
+            dst: None,
+            fetched_at: self.now,
+            fifo_time: Time::ZERO,
+        });
 
         // Advance the architectural cursor.
         self.fetch_pc = d.next_pc;
@@ -785,16 +784,22 @@ impl<'p> Pipeline<'p> {
             recovery_pc: EXIT_PC,
             mispredicted: false,
         });
-        self.push_fetched(Self::make_fetched(
+        self.push_fetched(InFlight {
             seq,
             pc,
-            inst,
-            true,
+            op: inst.op,
+            wrong_path: true,
+            is_exit: false,
+            completed: false,
+            arch_dst: inst.dst,
+            arch_srcs: [inst.src1, inst.src2],
             mem_addr,
-            branch_info,
-            false,
-            self.now,
-        ));
+            branch: branch_info,
+            srcs: SrcTags::new(),
+            dst: None,
+            fetched_at: self.now,
+            fifo_time: Time::ZERO,
+        });
 
         if stop_after {
             FetchOutcome::Stop
@@ -809,32 +814,7 @@ impl<'p> Pipeline<'p> {
         s
     }
 
-    #[allow(clippy::too_many_arguments)] // one field per argument, built in one place
-    fn make_fetched(
-        seq: u64,
-        pc: u64,
-        inst: &Inst,
-        wrong_path: bool,
-        mem_addr: Option<u64>,
-        branch: Option<BranchInfo>,
-        is_exit: bool,
-        fetched_at: Time,
-    ) -> FetchedInstr {
-        FetchedInstr {
-            seq,
-            pc,
-            op: inst.op,
-            wrong_path,
-            arch_dst: inst.dst,
-            arch_srcs: [inst.src1, inst.src2],
-            mem_addr,
-            branch,
-            is_exit,
-            fetched_at,
-        }
-    }
-
-    fn push_fetched(&mut self, f: FetchedInstr) {
+    fn push_fetched(&mut self, f: InFlight) {
         let wrong = f.wrong_path;
         let id = self.inflight.insert(f);
         self.ch_fetch_decode
@@ -855,32 +835,24 @@ impl<'p> Pipeline<'p> {
         let now = self.now;
         let bseq = r.branch_seq;
 
-        // Squash younger state everywhere. The walks write into reused
-        // scratch buffers: recovery allocates nothing even when mispredicts
-        // are frequent (sweep workloads run branchy configurations hot).
-        let mut ids = std::mem::take(&mut self.rob_squash_scratch);
-        self.rob.squash_younger_into(bseq, &mut ids);
-        ids.clear();
-        self.rob_squash_scratch = ids;
+        // Squash younger state everywhere.
+        self.rob.squash_younger(bseq);
         let recovered = self.rename.recover(bseq);
         debug_assert!(recovered, "mispredicted branch must hold a checkpoint");
-        let mut scratch = std::mem::take(&mut self.squash_scratch);
         for cl in &mut self.clusters {
-            cl.iq.squash_younger_into(bseq, &mut scratch);
+            cl.iq.squash_younger(bseq);
             cl.executing.retain(|&(_, s, _)| s <= bseq);
             // Rendezvous mode: port-blocked writebacks of squashed
             // instructions evaporate too (the list is empty otherwise).
             cl.writeback_pending.retain(|&(s, _)| s <= bseq);
         }
-        scratch.clear();
-        self.squash_scratch = scratch;
         self.store_buffer.squash_younger(bseq);
         // Flush the handles of squashed instructions out of the decode
         // buffer and the data channels (their table entries are still live
         // here, so the age test reads straight through the handle; a stale
         // handle — impossible today — would flush as squashed too).
         let inflight = &self.inflight;
-        let keep = |id: &InstrId| inflight.seq_of(*id).is_some_and(|s| s <= bseq);
+        let keep = |id: &InstrId| inflight.get(*id).is_some_and(|f| f.seq <= bseq);
         self.decode_buf.retain(keep);
         self.ch_fetch_decode.flush_where(now, keep);
         for ch in &mut self.ch_dispatch {
@@ -917,7 +889,10 @@ impl<'p> Pipeline<'p> {
         for ci in 0..3 {
             while let Some((id, res)) = self.ch_complete[ci].try_pop_timed(now) {
                 // Stale messages for squashed instructions are no-ops.
-                self.inflight.complete_with_residency(id, res);
+                if let Some(f) = self.inflight.get_mut(id) {
+                    f.completed = true;
+                    f.fifo_time += res;
+                }
             }
         }
 
@@ -925,7 +900,7 @@ impl<'p> Pipeline<'p> {
         // at exactly equal committed counts for paired comparisons.)
         let mut commits = 0;
         while commits < self.cfg.uarch.commit_width && self.committed < self.limits.max_insts {
-            let Some((head_seq, _, &head_id)) = self.rob.head() else {
+            let Some((head_seq, &head_id)) = self.rob.head() else {
                 break;
             };
             // Hold a mispredicted branch at the head until its recovery has
@@ -934,15 +909,13 @@ impl<'p> Pipeline<'p> {
             if self.pending_recovery == Some(head_seq) {
                 break;
             }
-            // Completion is tracked on the in-flight entry (O(1) hot-flag
-            // probe instead of a ROB search per completion message).
-            if !self.inflight.is_completed(head_id) {
+            if !self.inflight.get(head_id).is_some_and(|f| f.completed) {
                 break;
             }
             let (seq, id) = self.rob.pop_head().expect("head exists");
             let retired = self
                 .inflight
-                .remove_retired(id)
+                .remove(id)
                 .expect("committing unknown instruction");
             debug_assert!(!retired.wrong_path, "wrong-path instruction reached commit");
             if let Some((arch, _new_tag, old)) = retired.dst {
@@ -976,13 +949,15 @@ impl<'p> Pipeline<'p> {
             if !self.rob.has_space() {
                 break;
             }
-            // One hot-column probe covers the whole rename setup; the
-            // architectural operands were captured at fetch, so rename
+            // The architectural operands were captured at fetch, so rename
             // needs no PC re-locate.
-            let (seq, op, arch_dst, arch_srcs) = self
-                .inflight
-                .rename_view(id)
-                .expect("decoded instruction vanished");
+            let &InFlight {
+                seq,
+                op,
+                arch_dst,
+                arch_srcs,
+                ..
+            } = self.inflight.get(id).expect("decoded instruction vanished");
             let is_branch = op.is_branch();
             if is_branch && !self.rename.can_checkpoint() {
                 break;
@@ -1024,7 +999,9 @@ impl<'p> Pipeline<'p> {
             if is_branch {
                 self.rename.checkpoint(seq);
             }
-            self.inflight.set_rename(id, src_tags, dst);
+            let f = self.inflight.get_mut(id).expect("read above");
+            f.srcs = src_tags;
+            f.dst = dst;
             // Producer-side wakeup filter: register this consumer's cluster
             // against each source tag, or — when the producer has already
             // broadcast — mark the operand ready in this cluster's view now
@@ -1069,7 +1046,8 @@ impl<'p> Pipeline<'p> {
             let Some((id, res)) = self.ch_fetch_decode.try_pop_timed(now) else {
                 break;
             };
-            if self.inflight.add_fifo_time(id, res) {
+            if let Some(f) = self.inflight.get_mut(id) {
+                f.fifo_time += res;
                 self.decode_buf.push_back(id);
             }
             // (A flushed-but-raced handle simply evaporates.)
@@ -1125,7 +1103,7 @@ impl<'p> Pipeline<'p> {
             watchdog_cycles: self.limits.watchdog_cycles,
             committed: self.committed,
             rob_len: self.rob.len(),
-            rob_head_seq: self.rob.head().map(|(seq, _, _)| seq),
+            rob_head_seq: self.rob.head().map(|(seq, _)| seq),
             decode_buf_len: self.decode_buf.len(),
             iq_len: std::array::from_fn(|ci| self.clusters[ci].iq.len()),
             writeback_pending_len: std::array::from_fn(|ci| {
@@ -1232,9 +1210,11 @@ impl<'p> Pipeline<'p> {
             let Some((id, res)) = self.ch_dispatch[ci].try_pop_timed(now) else {
                 break;
             };
-            let Some((age, srcs)) = self.inflight.absorb_dispatch(id, res) else {
+            let Some(f) = self.inflight.get_mut(id) else {
                 continue;
             };
+            f.fifo_time += res;
+            let (age, srcs) = (f.seq, f.srcs);
             let ClusterState { iq, ready, .. } = &mut self.clusters[ci];
             iq.insert(
                 id.bits(),
@@ -1300,7 +1280,14 @@ impl<'p> Pipeline<'p> {
             width,
             |token| {
                 let id = InstrId::from_bits(token);
-                let Some((seq, op, wrong)) = inflight.issue_view(id) else {
+                let Some(&InFlight {
+                    seq,
+                    op,
+                    wrong_path,
+                    mem_addr,
+                    ..
+                }) = inflight.get(id)
+                else {
                     return true; /* squash race: drop */
                 };
                 let base_lat = op.exec_latency();
@@ -1309,7 +1296,7 @@ impl<'p> Pipeline<'p> {
                         if !fus.try_issue(cycle, base_lat, true) {
                             return false;
                         }
-                        let addr = inflight.mem_addr_of(id).expect("stores carry addresses");
+                        let addr = mem_addr.expect("stores carry addresses");
                         // Slot reserved at dispatch; fill the address now.
                         store_buffer.fill(seq, addr);
                         u64::from(base_lat)
@@ -1318,7 +1305,7 @@ impl<'p> Pipeline<'p> {
                         if !fus.try_issue(cycle, base_lat, true) {
                             return false;
                         }
-                        let addr = inflight.mem_addr_of(id).expect("loads carry addresses");
+                        let addr = mem_addr.expect("loads carry addresses");
                         if store_buffer.forwards_to(addr) {
                             store_forwards += 1;
                             u64::from(dcache.latency())
@@ -1341,7 +1328,7 @@ impl<'p> Pipeline<'p> {
                         u64::from(op.exec_latency())
                     }
                 };
-                if wrong {
+                if wrong_path {
                     wrong_path_issues += 1;
                 }
                 admitted.push((token, seq, lat));
@@ -1374,16 +1361,16 @@ impl<'p> Pipeline<'p> {
     /// guarantees the writeback's pushes all succeed.
     fn writeback_ports_free(&mut self, ci: usize, id: InstrId) -> bool {
         let now = self.now;
-        let Some((_, dst, is_mispredict)) = self.inflight.writeback_view(id) else {
+        let Some(f) = self.inflight.get(id) else {
             return true; // squashed under us: the writeback is a no-op
         };
         if !self.ch_complete[ci].can_push(now) {
             return false;
         }
-        if is_mispredict && !self.ch_redirect.can_push(now) {
+        if recovery_pc(f).is_some() && !self.ch_redirect.can_push(now) {
             return false;
         }
-        if let Some((_, tag, _)) = dst {
+        if let Some((_, tag, _)) = f.dst {
             let filter = self.cfg.cross_cluster_wakeup_filter;
             let interest = if filter {
                 self.wakeup_interest[tag.index()]
@@ -1404,9 +1391,10 @@ impl<'p> Pipeline<'p> {
 
     fn writeback(&mut self, ci: usize, id: InstrId) {
         let now = self.now;
-        let Some((seq, dst, is_mispredict)) = self.inflight.writeback_view(id) else {
+        let Some(f) = self.inflight.get(id) else {
             return;
         };
+        let (seq, dst, recovery) = (f.seq, f.dst, recovery_pc(f));
 
         // Chaos mode: drop this writeback on the floor. The threshold is a
         // `>=` (not an exact match) so the wedge survives the targeted seq
@@ -1452,15 +1440,11 @@ impl<'p> Pipeline<'p> {
         }
 
         // Mispredicted branch: launch the redirect.
-        if is_mispredict {
+        if let Some(recovery_pc) = recovery {
             debug_assert!(
                 self.pending_recovery.is_none(),
                 "only one correct-path misprediction can be outstanding"
             );
-            let recovery_pc = self
-                .inflight
-                .recovery_pc_of(id)
-                .expect("mispredicted instruction carries branch info");
             self.pending_recovery = Some(seq);
             self.ch_redirect
                 .try_push(
@@ -1568,6 +1552,14 @@ impl<'p> Pipeline<'p> {
 enum FetchOutcome {
     Continue,
     Stop,
+}
+
+/// The recovery target of a correct-path branch the front end
+/// mispredicted, whose writeback launches a redirect; `None` for every
+/// other instruction.
+fn recovery_pc(f: &InFlight) -> Option<u64> {
+    let b = f.branch?;
+    (!f.wrong_path && b.mispredicted).then_some(b.recovery_pc)
 }
 
 fn cluster_index(c: Cluster) -> usize {

@@ -2,12 +2,12 @@
 //! interleavings of insert (fetch), remove (commit) and `remove_younger`
 //! (squash) — including streams that force the slab to grow past its
 //! initial capacity and to recycle freed slots — every *live* handle keeps
-//! returning exactly the hot and cold fields it was inserted with, and
+//! returning exactly the fields it was inserted and updated with, and
 //! every *stale* handle keeps reading as nothing.
 
 #![allow(clippy::manual_is_multiple_of)] // seq % k patterns mirror the derivation rules
 
-use gals_core::inflight::{FetchedInstr, InFlightTable, InstrId, SrcTags, Tag};
+use gals_core::inflight::{InFlight, InFlightTable, InstrId, SrcTags, Tag};
 use gals_core::BranchInfo;
 use gals_events::Time;
 use gals_isa::{ArchReg, OpClass};
@@ -37,9 +37,9 @@ fn decode(kind: u8, arg: usize) -> Op {
 
 /// The fetch-time record for sequence `seq`, with every field derived from
 /// the sequence so the reference model needs to store nothing.
-fn instr(seq: u64) -> FetchedInstr {
+fn instr(seq: u64) -> InFlight {
     let branchy = seq % 5 == 0;
-    FetchedInstr {
+    InFlight {
         seq,
         pc: seq * 4 + 0x1000,
         op: match seq % 4 {
@@ -49,6 +49,8 @@ fn instr(seq: u64) -> FetchedInstr {
             _ => OpClass::BranchCond,
         },
         wrong_path: seq % 3 == 0,
+        is_exit: false,
+        completed: false,
         arch_dst: (seq % 2 == 0).then(|| ArchReg::int((seq % 31) as u8)),
         arch_srcs: [Some(ArchReg::int(((seq + 7) % 31) as u8)), None],
         mem_addr: (seq % 4 == 1).then_some(seq * 64),
@@ -59,38 +61,25 @@ fn instr(seq: u64) -> FetchedInstr {
             // Only correct-path instructions may carry a misprediction.
             mispredicted: seq % 3 != 0,
         }),
-        is_exit: false,
+        srcs: SrcTags::new(),
+        dst: None,
         fetched_at: Time::from_fs(seq * 1_000),
+        fifo_time: Time::ZERO,
     }
 }
 
-/// Checks one live handle against the derived reference values, including
-/// the post-rename hot fields when `renamed`.
-fn check_live(t: &InFlightTable, seq: u64, id: InstrId, renamed: bool) {
-    let f = instr(seq);
-    assert_eq!(t.seq_of(id), Some(seq));
-    assert_eq!(t.op_of(id), Some(f.op));
-    assert_eq!(t.is_wrong_path(id), f.wrong_path);
-    assert!(!t.is_exit(id));
-    // Completion tracks seq parity (set at insert time below).
-    assert_eq!(t.is_completed(id), seq % 2 == 1);
-    let cold = t.cold_of(id).expect("live handle has a cold record");
-    assert_eq!(cold.pc, f.pc);
-    assert_eq!(cold.arch_dst, f.arch_dst);
-    assert_eq!(cold.arch_srcs, f.arch_srcs);
-    assert_eq!(cold.mem_addr, f.mem_addr);
-    assert_eq!(cold.branch, f.branch);
-    assert_eq!(cold.fetched_at, f.fetched_at);
-    // Every live instruction accumulated exactly one residency grain.
-    assert_eq!(cold.fifo_time, Time::from_fs(7));
-    if renamed {
-        let srcs: Vec<Tag> = t.srcs_of(id).expect("live").iter().collect();
-        assert_eq!(srcs, vec![Tag((seq % 512) as u16)]);
-        assert_eq!(
-            t.dst_of(id).map(|(_, tag, _)| tag),
-            f.arch_dst.map(|_| Tag(((seq + 1) % 512) as u16)),
-        );
-    }
+/// The record as it stands after the updates every inserted instruction
+/// receives below: rename results, completion on odd sequences, and one
+/// residency grain.
+fn updated(seq: u64) -> InFlight {
+    let mut f = instr(seq);
+    f.srcs.push(Tag((seq % 512) as u16));
+    f.dst = f
+        .arch_dst
+        .map(|a| (a, Tag(((seq + 1) % 512) as u16), gals_uarch::PhysReg(3)));
+    f.completed = seq % 2 == 1;
+    f.fifo_time = Time::from_fs(7);
+    f
 }
 
 proptest! {
@@ -98,17 +87,17 @@ proptest! {
 
     /// Random insert/commit/squash streams over a deliberately tiny
     /// initial table: slab growth and slot recycling must preserve every
-    /// live handle's hot and cold fields, and stale handles must read as
-    /// nothing forever.
+    /// live handle's fields, and stale handles must read as nothing
+    /// forever.
     #[test]
     fn slab_growth_preserves_live_handles(
         ops in prop::collection::vec((0u8..255, 0usize..32), 1..200),
         initial_capacity in 0usize..4,
     ) {
         let mut t = InFlightTable::with_capacity(initial_capacity);
-        // Reference model: the live set as (seq, id, renamed), oldest
-        // first, plus every handle ever retired.
-        let mut live: Vec<(u64, InstrId, bool)> = Vec::new();
+        // Reference model: the live set as (seq, id), oldest first, plus
+        // every handle ever retired.
+        let mut live: Vec<(u64, InstrId)> = Vec::new();
         let mut dead: Vec<(u64, InstrId)> = Vec::new();
         let mut next_seq = 0u64;
 
@@ -118,54 +107,41 @@ proptest! {
                     let seq = next_seq;
                     next_seq += 1;
                     let id = t.insert(instr(seq));
-                    // Exercise the hot-side mutators immediately: rename
-                    // on even seqs' dst pattern, completion on odd seqs,
-                    // one slip grain for everyone.
-                    let mut srcs = SrcTags::new();
-                    srcs.push(Tag((seq % 512) as u16));
-                    let dst = instr(seq).arch_dst.map(|a| {
-                        (a, Tag(((seq + 1) % 512) as u16), gals_uarch::PhysReg(3))
-                    });
-                    t.set_rename(id, srcs, dst);
-                    if seq % 2 == 1 {
-                        t.set_completed(id);
-                    }
-                    prop_assert!(t.add_fifo_time(id, Time::from_fs(7)));
-                    live.push((seq, id, true));
+                    // Exercise the mutable path immediately: the rename
+                    // stage's fields, completion, one slip grain.
+                    let f = t.get_mut(id).expect("just inserted");
+                    let want = updated(seq);
+                    f.srcs = want.srcs;
+                    f.dst = want.dst;
+                    f.completed = want.completed;
+                    f.fifo_time += Time::from_fs(7);
+                    live.push((seq, id));
                 }
                 Op::Remove(k) if !live.is_empty() => {
-                    let (seq, id, _) = live.remove(k % live.len());
-                    let retired = t.remove_retired(id);
-                    prop_assert!(retired.is_some(), "live handle must retire");
-                    let retired = retired.unwrap();
-                    let f = instr(seq);
-                    prop_assert_eq!(retired.op, f.op);
-                    prop_assert_eq!(retired.wrong_path, f.wrong_path);
-                    prop_assert_eq!(retired.fetched_at, f.fetched_at);
-                    prop_assert_eq!(retired.fifo_time, Time::from_fs(7));
+                    let (seq, id) = live.remove(k % live.len());
+                    prop_assert_eq!(t.remove(id), Some(updated(seq)));
                     dead.push((seq, id));
                 }
                 Op::Squash(k) if !live.is_empty() => {
                     let pivot = live[k % live.len()].0;
                     t.remove_younger(pivot);
                     let (kept, squashed): (Vec<_>, Vec<_>) =
-                        live.drain(..).partition(|&(s, _, _)| s <= pivot);
+                        live.drain(..).partition(|&(s, _)| s <= pivot);
                     live = kept;
-                    dead.extend(squashed.into_iter().map(|(s, id, _)| (s, id)));
+                    dead.extend(squashed);
                 }
                 _ => {} // remove/squash on an empty table: no-op step
             }
 
             // Invariants after every step.
             prop_assert_eq!(t.len(), live.len());
-            for &(seq, id, renamed) in &live {
-                check_live(&t, seq, id, renamed);
+            for &(seq, id) in &live {
+                prop_assert_eq!(t.get(id), Some(&updated(seq)));
             }
             for &(_, id) in &dead {
-                prop_assert!(!t.contains(id), "stale handle came back to life");
-                prop_assert_eq!(t.seq_of(id), None);
-                prop_assert!(t.cold_of(id).is_none());
-                prop_assert!(t.remove_retired(id).is_none());
+                prop_assert!(t.get(id).is_none(), "stale handle came back to life");
+                prop_assert!(t.get_mut(id).is_none());
+                prop_assert!(t.remove(id).is_none());
             }
         }
         // The slab never leaks: capacity tracks the peak live count, not

@@ -208,19 +208,14 @@ impl IssueQueue {
     /// Selects up to `width` ready instructions, oldest first, removing them
     /// from the queue. Returns their tokens in selection order.
     pub fn select(&mut self, width: u32) -> Vec<IqToken> {
-        self.select_with(width, |_| true)
-    }
-
-    /// Selects ready instructions for which `admit` also returns true
-    /// (e.g. a functional unit is free), oldest first, up to `width`.
-    pub fn select_with(&mut self, width: u32, admit: impl FnMut(IqToken) -> bool) -> Vec<IqToken> {
         let mut out = Vec::new();
-        self.select_into(width, admit, &mut out);
+        self.select_into(width, |_| true, &mut out);
         out
     }
 
-    /// Allocation-free form of [`IssueQueue::select_with`]: clears `out`
-    /// and fills it with the selected tokens, oldest first. With a reused
+    /// Selects ready instructions for which `admit` also returns true
+    /// (e.g. a functional unit is free), oldest first, up to `width`:
+    /// clears `out` and fills it with the selected tokens. With a reused
     /// `out` buffer the steady-state selection path performs no heap
     /// allocation (internal scratch is owned by the queue).
     pub fn select_into(
@@ -261,20 +256,8 @@ impl IssueQueue {
         self.chosen_scratch = chosen;
     }
 
-    /// Removes every instruction younger than `age` (squash after a
-    /// mispredicted branch). Returns the removed tokens.
-    ///
-    /// Convenience wrapper over [`IssueQueue::squash_younger_into`]; hot
-    /// callers should pass a reusable scratch buffer to the `_into` form so
-    /// recovery allocates nothing even when mispredicts are frequent.
-    pub fn squash_younger(&mut self, age: u64) -> Vec<IqToken> {
-        let mut squashed = Vec::new();
-        self.squash_younger_into(age, &mut squashed);
-        squashed
-    }
-
-    /// Allocation-free form of [`IssueQueue::squash_younger`]: clears `out`
-    /// and fills it with the removed tokens.
+    /// Drops every instruction younger than `age` (squash after a
+    /// mispredicted branch). Allocates nothing.
     ///
     /// # Examples
     ///
@@ -282,23 +265,13 @@ impl IssueQueue {
     /// use gals_uarch::{IssueQueue, PhysReg};
     ///
     /// let mut iq = IssueQueue::new(8);
-    /// let mut scratch = Vec::new();
     /// iq.insert(1, 10, vec![PhysReg(40)]).unwrap();
     /// iq.insert(2, 20, vec![PhysReg(40)]).unwrap();
-    /// iq.squash_younger_into(15, &mut scratch);
-    /// assert_eq!(scratch, vec![2]);
+    /// iq.squash_younger(15);
     /// assert_eq!(iq.len(), 1);
     /// ```
-    pub fn squash_younger_into(&mut self, age: u64, out: &mut Vec<IqToken>) {
-        out.clear();
-        self.entries.retain(|e| {
-            if e.age > age {
-                out.push(e.token);
-                false
-            } else {
-                true
-            }
-        });
+    pub fn squash_younger(&mut self, age: u64) {
+        self.entries.retain(|e| e.age <= age);
     }
 
     /// Records an occupancy sample.
@@ -356,37 +329,26 @@ mod tests {
     #[test]
     fn squash_removes_younger_only() {
         let mut iq = IssueQueue::new(8);
-        iq.insert(1, 10, vec![PhysReg(40)]).unwrap();
-        iq.insert(2, 20, vec![PhysReg(40)]).unwrap();
-        iq.insert(3, 30, vec![PhysReg(40)]).unwrap();
-        let squashed = iq.squash_younger(15);
-        assert_eq!(squashed, vec![2, 3]);
+        iq.insert(1, 10, vec![]).unwrap();
+        iq.insert(2, 20, vec![]).unwrap();
+        iq.insert(3, 30, vec![]).unwrap();
+        iq.squash_younger(15);
         assert_eq!(iq.len(), 1);
+        // Nothing younger: a second squash is a no-op.
+        iq.squash_younger(15);
+        assert_eq!(iq.select(4), vec![1]);
     }
 
     #[test]
-    fn squash_younger_into_reuses_caller_buffer() {
+    fn select_into_admission_control() {
         let mut iq = IssueQueue::new(8);
-        let mut scratch = vec![77]; // stale contents must be cleared
-        iq.insert(1, 10, vec![PhysReg(40)]).unwrap();
-        iq.insert(2, 20, vec![PhysReg(40)]).unwrap();
-        iq.insert(3, 30, vec![PhysReg(40)]).unwrap();
-        iq.squash_younger_into(15, &mut scratch);
-        assert_eq!(scratch, vec![2, 3]);
-        assert_eq!(iq.len(), 1);
-        iq.squash_younger_into(15, &mut scratch);
-        assert!(scratch.is_empty());
-    }
-
-    #[test]
-    fn select_with_admission_control() {
-        let mut iq = IssueQueue::new(8);
+        let mut out = Vec::new();
         iq.insert(1, 0, vec![]).unwrap();
         iq.insert(2, 1, vec![]).unwrap();
         iq.insert(3, 2, vec![]).unwrap();
         // Admit only even tokens.
-        let picked = iq.select_with(4, |t| t % 2 == 0);
-        assert_eq!(picked, vec![2]);
+        iq.select_into(4, |t| t % 2 == 0, &mut out);
+        assert_eq!(out, vec![2]);
         assert_eq!(iq.len(), 2);
     }
 

@@ -35,5 +35,5 @@ pub use func_units::FuPool;
 pub use issue::{IqToken, IssueQueue, IssueQueueStats};
 pub use lsq::{StoreBuffer, StoreBufferStats};
 pub use rename::{PhysReg, RenameError, RenameUnit, RenamedDst};
-pub use rob::{Rob, RobStatus};
+pub use rob::Rob;
 pub use tournament::{TournamentConfig, TournamentPredictor, TournamentStats};
