@@ -26,7 +26,6 @@ mod issue;
 mod lsq;
 pub mod rename;
 mod rob;
-mod tournament;
 
 pub use bpred::{BpredStats, BranchPredictor, Prediction};
 pub use cache::{Cache, CacheStats};
@@ -36,4 +35,3 @@ pub use issue::{IqToken, IssueQueue, IssueQueueStats};
 pub use lsq::{StoreBuffer, StoreBufferStats};
 pub use rename::{PhysReg, RenameError, RenameUnit, RenamedDst};
 pub use rob::Rob;
-pub use tournament::{TournamentConfig, TournamentPredictor, TournamentStats};
