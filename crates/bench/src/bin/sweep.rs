@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run --release --bin sweep -- [--budget N] [--threads N] [--out PATH]
-//!     [--matrix FILE | --check FILE] [--cache DIR [--cache-cap N]]
+//!     [--matrix FILE | --check FILE] [--cache DIR]
 //! ```
 //!
 //! * `--budget N` — committed instructions per run (default 60 000; CI
@@ -28,7 +28,8 @@
 //! * `--out PATH` — report path (default `SWEEP_results.json`), written
 //!   atomically (tmp + rename). The report is gitignored, so runs at any
 //!   budget are free to (re)write it — CI uploads its smoke report as a
-//!   workflow artifact.
+//!   workflow artifact. A path that cannot be written (a missing parent
+//!   directory, an existing directory) exits 2 after the sweep has run.
 //!
 //! ## Fault tolerance
 //!
@@ -47,8 +48,7 @@
 //!   The report stays bit-identical either way. A `cache:` summary line
 //!   reports hits/misses (CI pins it). Rerunning a killed or failed sweep
 //!   with the same `--cache` resumes it: only the points without a blob
-//!   simulate. `--cache-cap N` bounds the blob count with deterministic
-//!   eviction.
+//!   simulate.
 //! * `--chaos-panic I[,J..]` / `--chaos-wedge I[,J..]` — deterministic
 //!   fault injection at the given matrix indices, for exercising the
 //!   failure path end-to-end (the CI chaos smoke job). Only available
@@ -72,7 +72,7 @@ use gals_sweep::{sweep, RunStatus, Severity, SweepMatrix, SweepOptions, SweepReq
 const SWEEP_INSTS: u64 = 60_000;
 
 const USAGE: &str = "sweep [--budget N | N] [--threads N] [--out PATH] \
-     [--matrix FILE | --check FILE] [--cache DIR [--cache-cap N]] \
+     [--matrix FILE | --check FILE] [--cache DIR] \
      [--chaos-panic I] [--chaos-wedge I]";
 
 fn usage_exit(msg: &str) -> ! {
@@ -102,9 +102,6 @@ fn sweep_options(cli: &BenchCli) -> SweepOptions {
     let mut opts = SweepOptions::new().threads(cli.threads_or_available());
     if let Some(dir) = &cli.cache {
         opts = opts.cache(dir.clone());
-    }
-    if let Some(cap) = cli.cache_cap {
-        opts = opts.cache_capacity(cap);
     }
     #[cfg(feature = "chaos")]
     {
@@ -224,7 +221,8 @@ fn main() {
     }
 
     let json = results.to_json();
-    write_atomic(&out, &json).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
+    write_atomic(&out, &json)
+        .unwrap_or_else(|e| usage_exit(&format!("cannot write {}: {e}", out.display())));
     println!("wrote {} ({} bytes)", out.display(), json.len());
 
     let failed = results.failed_count();

@@ -1,14 +1,14 @@
 //! # gals-bench
 //!
 //! The benchmark harness regenerating every table and figure of the paper.
-//! Each `src/bin/*.rs` binary reproduces one table/figure (see DESIGN.md §4
-//! and EXPERIMENTS.md); this library holds the shared runners, the common
-//! CLI ([`BenchCli`]) and table formatting.
+//! Each `src/bin/*.rs` binary reproduces one table/figure (the mapping is
+//! in `docs/ARCHITECTURE.md`); this library holds the shared runners, the
+//! command-line parser ([`BenchCli`]) and table formatting.
 //!
 //! ## The scenario-sweep binary
 //!
 //! `cargo run --release --bin sweep -- [--budget N] [--threads N] [--out PATH]
-//! [--matrix FILE | --check FILE] [--cache DIR [--cache-cap N]]`
+//! [--matrix FILE | --check FILE] [--cache DIR]`
 //! runs the default cartesian experiment matrix of the `gals-sweep` crate
 //! — or, with `--matrix FILE`, a user-defined matrix loaded from JSON
 //! (benchmark × clocking mode × pausible handshake duration × DVFS point ×
@@ -27,15 +27,21 @@
 //! adds deterministic fault injection (`--chaos-panic`/`--chaos-wedge`)
 //! for smoke-testing the whole failure path.
 //!
-//! ## Common CLI
+//! ## Command lines
 //!
-//! Every experiment binary accepts `--budget N` (or a bare positional `N`,
-//! the historical smoke form) to override its committed-instruction budget;
-//! binaries that write files accept `--out PATH`; parallel binaries accept
-//! `--threads N`; the `sweep` binary additionally accepts the options
-//! above. Exit codes are uniform across binaries — the full contract
-//! lives on [`exit_code`]. JSON artifacts are written atomically
-//! ([`write_atomic`]): tmp file + rename, never a torn report.
+//! Three binaries read their command line:
+//!
+//! * `sweep` takes the options above, parsed by [`BenchCli`];
+//! * `ablation_pausible` takes `--budget N` (or a bare positional `N`) to
+//!   override its committed-instruction budget, also through
+//!   [`BenchCli`];
+//! * `gasm` takes `[--seed N] [--fuel N] FILE...`.
+//!
+//! The other fifteen binaries ignore their arguments; those that simulate
+//! always commit [`RUN_INSTS`] instructions per run. Exit codes are
+//! uniform across binaries — the full contract lives on [`exit_code`].
+//! JSON artifacts are written atomically ([`write_atomic`]): tmp file +
+//! rename, never a torn report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -118,9 +124,10 @@ pub fn run_rendezvous(bench: Benchmark, insts: u64) -> SimReport {
 /// | 4    | static analysis found a blocking issue — nothing was run |
 ///
 /// 2 vs 4 matters: a usage error (2) means the invocation itself is
-/// malformed (unknown flag, unreadable matrix file); an analysis failure
-/// (4) means the invocation was fine but `--check` statically rejected
-/// the *configurations* — the per-point finding table on stdout says why.
+/// malformed (unknown flag, unreadable matrix file, unwritable report
+/// path); an analysis failure (4) means the invocation was fine but
+/// `--check` statically rejected the *configurations* — the per-point
+/// finding table on stdout says why.
 pub mod exit_code {
     /// Success.
     pub const OK: i32 = 0;
@@ -155,10 +162,10 @@ pub fn write_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<(
     std::fs::rename(&tmp, path)
 }
 
-/// The common command line of the experiment binaries: an instruction
-/// budget (`--budget N` or the historical bare positional `N`), an output
-/// path, a worker-thread count, and the `sweep` binary's options.
-/// Individual binaries use the subset they document and ignore the rest.
+/// The command line of the `sweep` and `ablation_pausible` binaries: an
+/// instruction budget (`--budget N` or the historical bare positional
+/// `N`), an output path, a worker-thread count, and the `sweep` binary's
+/// options. Each binary uses the subset it documents and ignores the rest.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchCli {
     /// Committed-instruction budget override (`--budget N` or bare `N`).
@@ -183,9 +190,6 @@ pub struct BenchCli {
     /// Content-addressed result-cache directory (`--cache DIR`; the
     /// `sweep` binary — see `gals_sweep::ResultCache`).
     pub cache: Option<PathBuf>,
-    /// Bound on the number of cached blobs (`--cache-cap N`; needs
-    /// `--cache`).
-    pub cache_cap: Option<usize>,
 }
 
 impl BenchCli {
@@ -223,14 +227,6 @@ impl BenchCli {
                 "--matrix" => cli.matrix = Some(PathBuf::from(value_of("--matrix")?)),
                 "--check" => cli.check = Some(PathBuf::from(value_of("--check")?)),
                 "--cache" => cli.cache = Some(PathBuf::from(value_of("--cache")?)),
-                "--cache-cap" => {
-                    let v = value_of("--cache-cap")?;
-                    let n: usize = parse_num(&v, "--cache-cap")?;
-                    if n == 0 {
-                        return Err("--cache-cap must be at least 1".into());
-                    }
-                    cli.cache_cap = Some(n);
-                }
                 "--chaos-panic" => {
                     let v = value_of("--chaos-panic")?;
                     parse_index_list(&v, "--chaos-panic", &mut cli.chaos_panic)?;
@@ -284,19 +280,6 @@ fn parse_index_list(v: &str, what: &str, out: &mut Vec<usize>) -> Result<(), Str
         out.push(parse_num(part.trim(), what)?);
     }
     Ok(())
-}
-
-/// The committed-instruction budget from the binary's command line
-/// (`--budget N` or a bare positional `N`), falling back to `default`
-/// (typically [`RUN_INSTS`]) when no budget is given. Lets CI smoke-run
-/// the figure binaries on a tiny budget
-/// (`cargo run --release --bin <bin> -- 2000`).
-///
-/// On a malformed command line, prints usage to stderr and exits with
-/// [`exit_code::USAGE`] — a typo in a smoke budget must not silently
-/// degrade into a full-budget run.
-pub fn budget_from_args(default: u64) -> u64 {
-    BenchCli::parse_or_exit("<bin> [--budget N | N]").budget_or(default)
 }
 
 /// Runs one benchmark on a GALS machine with a DVFS plan applied.
@@ -432,17 +415,14 @@ mod tests {
 
     #[test]
     fn cli_parses_cache_flags() {
-        let cli = BenchCli::parse_from(["--cache", "cachedir", "--cache-cap", "500"]).unwrap();
+        let cli = BenchCli::parse_from(["--cache", "cachedir"]).unwrap();
         assert_eq!(cli.cache.as_deref(), Some(std::path::Path::new("cachedir")));
-        assert_eq!(cli.cache_cap, Some(500));
 
-        // Defaults: no cache, unbounded.
+        // Default: no cache.
         let cli = BenchCli::parse_from([] as [&str; 0]).unwrap();
-        assert!(cli.cache.is_none() && cli.cache_cap.is_none());
+        assert!(cli.cache.is_none());
 
         assert!(BenchCli::parse_from(["--cache"]).is_err());
-        assert!(BenchCli::parse_from(["--cache-cap", "0"]).is_err());
-        assert!(BenchCli::parse_from(["--cache-cap", "x"]).is_err());
     }
 
     #[test]
@@ -455,7 +435,7 @@ mod tests {
     #[test]
     fn cli_rejects_the_service_journal_and_deadline_flags() {
         // Resuming is a rerun with the same --cache; there is no service,
-        // journal, retry or wall-clock deadline to configure.
+        // journal, retry, wall-clock deadline or cache bound to configure.
         for flag in [
             "--serve",
             "--submit",
@@ -472,6 +452,7 @@ mod tests {
             "--chaos-drop-times",
             "--baseline",
             "--tolerance",
+            "--cache-cap",
         ] {
             let e = BenchCli::parse_from([flag, "1"]).unwrap_err();
             assert!(e.contains("unknown argument"), "{flag}: {e}");

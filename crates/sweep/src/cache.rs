@@ -32,15 +32,12 @@
 //! * **Only `ok` records are stored.** A failed run (panic or deadlock)
 //!   must re-run, so a rerun on the same cache retries exactly the failed
 //!   points.
-//! * **Deterministic eviction.** With a capacity bound, a store that
-//!   pushes the blob count past it removes the lexicographically smallest
-//!   blob names (never the one just written) until the bound holds — no
-//!   wall-clock LRU, so two identical sweeps leave identical directories.
 //!
 //! Keys already include the report schema version, so a schema bump
-//! simply misses against old blobs rather than misreading them; stale
-//! blobs age out via the capacity bound (or `rm -r` — the directory holds
-//! nothing else).
+//! simply misses against old blobs rather than misreading them. The
+//! directory is unbounded (a blob is about half a kilobyte, so the
+//! 116-point paper matrix takes under 60 KB); `rm -r` clears it — it
+//! holds nothing else.
 
 use std::fs;
 use std::io::ErrorKind;
@@ -63,48 +60,39 @@ pub struct CacheStats {
     pub misses: u64,
     /// Blobs written.
     pub stores: u64,
-    /// Blobs removed by the capacity bound.
-    pub evictions: u64,
     /// Misses caused by an unreadable or invalid blob.
     pub corrupt: u64,
 }
 
 /// A handle on one cache directory, shared by a sweep's workers. Every
-/// operation is a single filesystem action — atomic rename for stores,
-/// unlink for evictions — so no internal lock is needed beyond the
-/// atomic counters, and a peer handle (same process or another) racing
-/// on the same directory is always safe: a blob deleted under us is a
-/// miss on load and an already-done eviction on evict.
+/// store is a single filesystem action — an atomic rename — so no
+/// internal lock is needed beyond the atomic counters, and a peer handle
+/// (same process or another) racing on the same directory is always
+/// safe: a blob deleted under us is a miss on load.
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
-    capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
-    evictions: AtomicU64,
     corrupt: AtomicU64,
     tmp_seq: AtomicU64,
 }
 
 impl ResultCache {
-    /// Opens (creating if needed) the cache directory. A `capacity` of
-    /// `Some(n)` bounds the directory to `n` blobs (clamped to at least
-    /// one); `None` is unbounded.
+    /// Opens (creating if needed) the cache directory.
     ///
     /// # Errors
     ///
     /// The directory cannot be created.
-    pub fn open(dir: &Path, capacity: Option<usize>) -> Result<ResultCache, String> {
+    pub fn open(dir: &Path) -> Result<ResultCache, String> {
         fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create cache directory {}: {e}", dir.display()))?;
         Ok(ResultCache {
             dir: dir.to_path_buf(),
-            capacity: capacity.map(|c| c.max(1)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
         })
@@ -138,8 +126,8 @@ impl ResultCache {
     }
 
     /// Stores a *successful* record under `key` (atomically: temp file in
-    /// the cache directory, then rename), then enforces the capacity
-    /// bound. Non-`ok` records are ignored — failures must re-run.
+    /// the cache directory, then rename). Non-`ok` records are ignored —
+    /// failures must re-run.
     ///
     /// # Errors
     ///
@@ -162,62 +150,7 @@ impl ResultCache {
         fs::rename(&tmp, self.dir.join(&name))
             .map_err(|e| format!("cannot commit cache blob {name}: {e}"))?;
         self.stores.fetch_add(1, Ordering::Relaxed);
-        self.enforce_capacity(&name);
         Ok(())
-    }
-
-    /// Lists the directory and hands the blob names to
-    /// [`Self::evict_excess`].
-    fn enforce_capacity(&self, keep: &str) {
-        let Some(cap) = self.capacity else { return };
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return;
-        };
-        let names: Vec<String> = entries
-            .filter_map(|e| e.ok()?.file_name().into_string().ok())
-            .filter(|n| n.len() == 21 && n.ends_with(".json"))
-            .collect();
-        self.evict_excess(names, cap, keep);
-    }
-
-    /// Removes the lexicographically smallest of `names` (sparing `keep`,
-    /// the blob just stored) until at most `cap` remain, and returns how
-    /// many this call removed. Best-effort: eviction failures only mean a
-    /// larger directory.
-    ///
-    /// Concurrent-writer safety: the listing is a snapshot, so a peer
-    /// handle enforcing the same bound may delete a listed blob first.
-    /// That `NotFound` is not a failure — the directory shrank all the
-    /// same, so it consumes excess without counting as an eviction
-    /// *here* (the peer already counted it); any other unlink error
-    /// skips to the next candidate. Counters therefore stay consistent:
-    /// summed across handles, `evictions` equals the number of blobs
-    /// actually removed.
-    fn evict_excess(&self, mut names: Vec<String>, cap: usize, keep: &str) -> u64 {
-        if names.len() <= cap {
-            return 0;
-        }
-        names.sort_unstable();
-        let mut excess = names.len() - cap;
-        let mut evicted = 0u64;
-        for name in names {
-            if excess == 0 {
-                break;
-            }
-            if name == keep {
-                continue;
-            }
-            match fs::remove_file(self.dir.join(&name)) {
-                Ok(()) => {
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    evicted += 1;
-                    excess -= 1;
-                }
-                Err(e) if e.kind() == ErrorKind::NotFound => excess -= 1,
-                Err(_) => {}
-            }
-        }
-        evicted
     }
 
     /// A snapshot of this handle's traffic counters.
@@ -226,7 +159,6 @@ impl ResultCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
         }
     }
@@ -397,7 +329,7 @@ mod tests {
     #[test]
     fn store_then_load_round_trips_and_counts() {
         let dir = temp_dir("round-trip");
-        let cache = ResultCache::open(&dir, None).expect("open");
+        let cache = ResultCache::open(&dir).expect("open");
         let specs = specs();
         let record = specs[0].run();
         let key = RunKey::of(&specs[0]);
@@ -410,7 +342,6 @@ mod tests {
                 hits: 1,
                 misses: 1,
                 stores: 1,
-                evictions: 0,
                 corrupt: 0,
             }
         );
@@ -457,7 +388,7 @@ mod tests {
     #[test]
     fn corrupt_blobs_are_misses_never_errors() {
         let dir = temp_dir("corrupt");
-        let cache = ResultCache::open(&dir, None).expect("open");
+        let cache = ResultCache::open(&dir).expect("open");
         let specs = specs();
         let record = specs[0].run();
         let key = RunKey::of(&specs[0]);
@@ -483,55 +414,12 @@ mod tests {
     #[test]
     fn failed_records_are_never_stored() {
         let dir = temp_dir("failed");
-        let cache = ResultCache::open(&dir, None).expect("open");
+        let cache = ResultCache::open(&dir).expect("open");
         let specs = specs();
         let key = RunKey::of(&specs[0]);
         cache.store(&panicked(&specs[0]), key).expect("no-op store");
         assert_eq!(cache.stats().stores, 0);
         assert_eq!(cache.load(key, &specs[0]), None);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn capacity_evicts_deterministically_sparing_the_new_blob() {
-        let dir = temp_dir("evict");
-        let cache = ResultCache::open(&dir, Some(1)).expect("open");
-        let specs = specs();
-        let (a, b) = (RunKey::of(&specs[0]), RunKey::of(&specs[1]));
-        cache.store(&specs[0].run(), a).expect("store a");
-        cache.store(&specs[1].run(), b).expect("store b");
-        // Exactly one blob survives, and it is the one just written —
-        // regardless of how the two keys happen to sort.
-        assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.load(b, &specs[1]).is_some());
-        assert_eq!(cache.load(a, &specs[0]), None);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn eviction_tolerates_a_blob_deleted_by_a_peer() {
-        let dir = temp_dir("peer-evict");
-        let cache = ResultCache::open(&dir, Some(1)).expect("open");
-        let specs = specs();
-        let key = RunKey::of(&specs[1]);
-        cache.store(&specs[1].run(), key).expect("store");
-        let keep = ResultCache::blob_name(key);
-        // A directory snapshot listing two phantom blobs a peer already
-        // removed, plus the real one: the phantoms' NotFound must consume
-        // the excess (the directory did shrink) without inflating the
-        // eviction counter or touching the surviving blob.
-        let stale = vec![
-            "0000000000000000.json".to_string(),
-            "0000000000000001.json".to_string(),
-            keep.clone(),
-        ];
-        let removed = cache.evict_excess(stale, 1, &keep);
-        assert_eq!(removed, 0, "phantom deletions are not our evictions");
-        assert_eq!(cache.stats().evictions, 0);
-        assert!(
-            cache.load(key, &specs[1]).is_some(),
-            "the real blob survives"
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

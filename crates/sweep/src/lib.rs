@@ -1015,9 +1015,6 @@ pub struct SweepOptions {
     /// disables caching. Rerunning a killed or failed sweep on the same
     /// directory simulates only the points that have no blob.
     pub cache: Option<PathBuf>,
-    /// Bound on the number of cached blobs; storing past it evicts
-    /// deterministically ([`ResultCache`] docs). `None` = unbounded.
-    pub cache_capacity: Option<usize>,
     /// Deterministic fault injection (the `chaos` feature).
     #[cfg(feature = "chaos")]
     pub faults: FaultPlan,
@@ -1041,13 +1038,6 @@ impl SweepOptions {
     #[must_use]
     pub fn cache(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache = Some(dir.into());
-        self
-    }
-
-    /// Bounds the cache to at most `capacity` blobs.
-    #[must_use]
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = Some(capacity);
         self
     }
 
@@ -1299,7 +1289,7 @@ pub fn sweep(request: &SweepRequest) -> Result<SweepResponse, String> {
     let specs = request.matrix.expand();
     let keys: Vec<RunKey> = specs.iter().map(RunKey::of).collect();
     let cache = match &opts.cache {
-        Some(dir) => Some(ResultCache::open(dir, opts.cache_capacity)?),
+        Some(dir) => Some(ResultCache::open(dir)?),
         None => None,
     };
     let mut runs: Vec<Option<RunRecord>> = match &cache {

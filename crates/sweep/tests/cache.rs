@@ -124,14 +124,11 @@ fn run_keys_ignore_execution_policy_and_separate_content() {
     let matrix = small_matrix(1, 500);
     let base: Vec<RunKey> = matrix.expand().iter().map(RunKey::of).collect();
 
-    // Execution policy — threads, cache settings — lives in SweepOptions,
-    // which never reaches a key: a parallel, capacity-bounded sweep files
-    // its blobs under exactly the content keys.
+    // Execution policy — threads, the cache directory — lives in
+    // SweepOptions, which never reaches a key: a parallel sweep files its
+    // blobs under exactly the content keys.
     let dir = temp_dir("policy");
-    let options = SweepOptions::new()
-        .threads(3)
-        .cache(dir.clone())
-        .cache_capacity(1_000);
+    let options = SweepOptions::new().threads(3).cache(dir.clone());
     sweep(&SweepRequest::new(matrix.clone()).with_options(options)).expect("sweep");
     let mut names: Vec<String> = std::fs::read_dir(&dir)
         .expect("cache dir")
