@@ -36,7 +36,7 @@
 //! Keys already include the report schema version, so a schema bump
 //! simply misses against old blobs rather than misreading them. The
 //! directory is unbounded (a blob is about half a kilobyte, so the
-//! 116-point paper matrix takes under 60 KB); `rm -r` clears it — it
+//! 116-point paper matrix takes about 60 KB); `rm -r` clears it — it
 //! holds nothing else.
 
 use std::fs;
