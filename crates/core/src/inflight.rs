@@ -417,22 +417,40 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.get(a).map(|f| f.pc), Some(20));
         assert_eq!(t.get(b).map(|f| f.seq), Some(6));
-        let dst = Some((ArchReg::int(1), Tag(40), PhysReg(9)));
-        let f = t.get_mut(b).expect("live");
-        f.completed = true;
-        f.srcs.push(Tag(17));
-        f.dst = dst;
-        f.fifo_time += Time::from_ns(2);
+        t.get_mut(b).expect("live").completed = true;
         assert!(!t.get(a).expect("live").completed);
         let removed = t.remove(b).expect("live handle");
         assert!(removed.completed);
-        assert_eq!(removed.srcs.iter().collect::<Vec<_>>(), vec![Tag(17)]);
-        assert_eq!(removed.dst, dst);
-        assert_eq!(removed.fifo_time, Time::from_ns(2));
         assert!(t.remove(b).is_none(), "double remove is a stale no-op");
         assert_eq!(t.len(), 1);
         assert!(t.get(b).is_none());
-        assert!(t.get_mut(b).is_none());
+    }
+
+    #[test]
+    fn rename_fields_are_stored_on_the_hot_side() {
+        let mut t = InFlightTable::with_capacity(4);
+        let id = t.insert(dummy(3));
+        let dst = Some((ArchReg::int(1), Tag(40), PhysReg(9)));
+        let f = t.get_mut(id).expect("live");
+        f.srcs.push(Tag(17));
+        f.dst = dst;
+        let f = t.get(id).expect("live");
+        assert_eq!(f.srcs.iter().collect::<Vec<_>>(), vec![Tag(17)]);
+        assert_eq!(f.dst, dst);
+        let removed = t.remove(id).expect("live handle");
+        assert_eq!(removed.srcs.iter().collect::<Vec<_>>(), vec![Tag(17)]);
+        assert_eq!(removed.dst, dst);
+    }
+
+    #[test]
+    fn fifo_time_accumulates_in_the_cold_record() {
+        let mut t = InFlightTable::with_capacity(4);
+        let id = t.insert(dummy(3));
+        t.get_mut(id).expect("live").fifo_time += Time::from_ns(2);
+        t.get_mut(id).expect("live").fifo_time += Time::from_ns(1);
+        assert_eq!(t.get(id).map(|f| f.fifo_time), Some(Time::from_ns(3)));
+        t.remove(id);
+        assert!(t.get_mut(id).is_none());
     }
 
     #[test]

@@ -334,9 +334,28 @@ mod tests {
         iq.insert(3, 30, vec![]).unwrap();
         iq.squash_younger(15);
         assert_eq!(iq.len(), 1);
+        assert_eq!(iq.select(4), vec![1]);
+    }
+
+    #[test]
+    fn squash_younger_into_reuses_caller_buffer() {
+        // A squash drops entries in place: the freed entries of a full
+        // queue take the refetched path.
+        let mut iq = IssueQueue::new(3);
+        iq.insert(1, 10, vec![PhysReg(40)]).unwrap();
+        iq.insert(2, 20, vec![PhysReg(40)]).unwrap();
+        iq.insert(3, 30, vec![PhysReg(40)]).unwrap();
+        assert!(!iq.has_space());
+        iq.squash_younger(15);
+        assert_eq!(iq.len(), 1);
         // Nothing younger: a second squash is a no-op.
         iq.squash_younger(15);
-        assert_eq!(iq.select(4), vec![1]);
+        assert_eq!(iq.len(), 1);
+        iq.insert(4, 20, vec![]).unwrap();
+        iq.insert(5, 30, vec![]).unwrap();
+        assert!(!iq.has_space());
+        iq.wakeup(PhysReg(40));
+        assert_eq!(iq.select(4), vec![1, 4, 5]);
     }
 
     #[test]

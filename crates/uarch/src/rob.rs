@@ -185,14 +185,32 @@ mod tests {
         }
         rob.squash_younger(2);
         assert_eq!(rob.len(), 3);
-        // Nothing younger: a second squash is a no-op.
-        rob.squash_younger(2);
-        assert_eq!(rob.len(), 3);
         // Sequence numbers may repeat the squashed range afterwards.
         rob.alloc(3, 33).unwrap();
         assert_eq!(rob.len(), 4);
         let order: Vec<_> = std::iter::from_fn(|| rob.pop_head()).collect();
         assert_eq!(order, vec![(0, 0), (1, 1), (2, 2), (3, 33)]);
+    }
+
+    #[test]
+    fn squash_younger_into_reuses_caller_buffer() {
+        // A squash drops entries in place: the freed slots of a full ROB
+        // take the refetched path without growing it.
+        let mut rob = Rob::new(4);
+        for s in 0..4 {
+            rob.alloc(s, s).unwrap();
+        }
+        assert!(!rob.has_space());
+        rob.squash_younger(1);
+        assert_eq!(rob.len(), 2);
+        // Nothing younger: a second squash is a no-op.
+        rob.squash_younger(1);
+        assert_eq!(rob.len(), 2);
+        rob.alloc(2, 22).unwrap();
+        rob.alloc(3, 33).unwrap();
+        assert!(!rob.has_space());
+        assert_eq!(rob.alloc(4, 44), Err(44));
+        assert_eq!(rob.head(), Some((0, &0)));
     }
 
     #[test]
