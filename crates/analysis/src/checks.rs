@@ -1,14 +1,13 @@
-//! Topology-free parameter checks: pure functions over scalar config
-//! values, shared by `gals_core::analyze` and `RunSpec::static_findings`
-//! (which must vet DVFS points *before* constructing a config, because
-//! the clock constructors assert on out-of-range factors).
+//! The pre-flight checks: pure functions over scalar config values,
+//! shared by `gals_core::analyze` and `RunSpec::static_findings` (which
+//! must vet DVFS points *before* constructing a config, because the clock
+//! constructors assert on out-of-range factors).
 
 use crate::finding::{codes, Finding};
 
 /// GA005: main (data) and side (completion/wakeup) channel capacities.
-/// Mirrors the invariants `ProcessorConfig::validate` enforces: the main
-/// channels must cover dispatch width (≥ 2), the side channels must
-/// absorb a full writeback burst (≥ 16).
+/// The main channels must cover dispatch width (≥ 2), the side channels
+/// must absorb a full writeback burst (≥ 16).
 pub fn channel_capacities(main: usize, side: usize) -> Vec<Finding> {
     let mut out = Vec::new();
     if main < 2 {

@@ -39,31 +39,21 @@ impl fmt::Display for Severity {
 }
 
 /// Stable finding codes for the model-level analysis pass (GA = "GALS
-/// analysis"). See `docs/ANALYSIS.md` for the full table.
+/// analysis"). See `docs/ANALYSIS.md` for the full table. GA001, GA003,
+/// GA004 and GA008 are retired and never reused.
 pub mod codes {
-    /// Cycle of rendezvous (zero-buffer) edges none of which is drained
-    /// unconditionally: a circular wait the runtime cannot break.
-    pub const RENDEZVOUS_CYCLE: &str = "GA001";
     /// A producer is statically known to stop producing (e.g. a chaos
     /// `withhold_writeback` wedge armed below the instruction budget),
     /// so downstream domains will starve and the watchdog will fire.
     pub const WEDGED_PRODUCER: &str = "GA002";
-    /// Two or more rendezvous ports acquired together without an atomic
-    /// claim: classic hold-and-wait, deadlocks under contention.
-    pub const HOLD_AND_WAIT: &str = "GA003";
-    /// Two clock domains share a scheduler priority, so same-edge event
-    /// order is unspecified.
-    pub const DUPLICATE_CLOCK_PRIORITY: &str = "GA004";
-    /// A channel capacity outside its legal range (zero, undersized, or
-    /// a rendezvous port with capacity != 1).
+    /// A channel capacity below its legal minimum (main channels under
+    /// 2, side channels under 16).
     pub const CHANNEL_CAPACITY: &str = "GA005";
     /// A DVFS slowdown below 1.0 / non-finite, or a non-uniform plan on
     /// a single-clock (synchronous) machine.
     pub const DVFS_RANGE: &str = "GA006";
     /// `fifo_sync_periods` outside the modeled [0, 8] window.
     pub const SYNC_RANGE: &str = "GA007";
-    /// A domain no instruction can ever reach along data edges.
-    pub const UNREACHABLE_DOMAIN: &str = "GA008";
     /// Budget sanity: zero instruction budget, or a disabled watchdog on
     /// a blocking (rendezvous) machine.
     pub const BUDGET_SANITY: &str = "GA009";
@@ -75,7 +65,7 @@ pub mod codes {
 /// One analysis finding: stable code + severity + message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable code, e.g. `"GA001"` — never renumbered.
+    /// Stable code, e.g. `"GA005"` — never renumbered.
     pub code: &'static str,
     /// How bad it is.
     pub severity: Severity,
@@ -148,9 +138,8 @@ pub fn json_escape(s: &str) -> String {
 
 /// The outcome of an analysis pass: an ordered list of findings.
 ///
-/// Order is deterministic (checks run in a fixed sequence, graph nodes
-/// and edges are visited in insertion order), so two analyses of the
-/// same config produce byte-identical reports.
+/// Order is deterministic (checks run in a fixed sequence), so two
+/// analyses of the same config produce byte-identical reports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnalysisReport {
     /// All findings, in the deterministic order the checks emitted them.
@@ -173,11 +162,6 @@ impl AnalysisReport {
         self.findings.extend(more);
     }
 
-    /// Absorbs another report's findings.
-    pub fn merge(&mut self, other: AnalysisReport) {
-        self.findings.extend(other.findings);
-    }
-
     /// True when no findings of any severity were produced.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
@@ -197,14 +181,6 @@ impl AnalysisReport {
             .iter()
             .filter(|f| f.severity >= Severity::Warning)
             .max_by_key(|f| f.severity)
-    }
-
-    /// True when any finding is warning-severity or worse — the gate
-    /// `sweep --check` keys its exit code on.
-    pub fn has_blocking(&self) -> bool {
-        self.findings
-            .iter()
-            .any(|f| f.severity >= Severity::Warning)
     }
 }
 
@@ -240,12 +216,11 @@ mod tests {
         report.push(Finding::info(codes::BUDGET_SANITY, "watchdog off"));
         assert!(report.static_verdict().is_none());
         report.push(Finding::warning(codes::WEDGED_PRODUCER, "wedge armed"));
-        report.push(Finding::error(codes::RENDEZVOUS_CYCLE, "cycle"));
+        report.push(Finding::error(codes::CHANNEL_CAPACITY, "capacity 0"));
         assert_eq!(
             report.static_verdict().unwrap().code,
-            codes::RENDEZVOUS_CYCLE
+            codes::CHANNEL_CAPACITY
         );
-        assert_eq!(report.first_error().unwrap().code, codes::RENDEZVOUS_CYCLE);
-        assert!(report.has_blocking());
+        assert_eq!(report.first_error().unwrap().code, codes::CHANNEL_CAPACITY);
     }
 }

@@ -1,121 +1,5 @@
-//! Property tests for the static verifier: random topologies with
-//! constructed rendezvous cycles must always be flagged (no false
-//! negatives against the wait-graph theory), breaking the cycle must
-//! clear the flag (no stuck-at-error), random non-atomic multi-port
-//! claims must trip hold-and-wait exactly when the theory says so — and
-//! the shipping `paper_default` experiment matrix must vet completely
-//! clean, point by point.
-
-use gals_analysis::{codes, CommGraph, Edge, EdgeKind};
-use proptest::prelude::*;
-
-/// A ring of `n` domains connected by rendezvous data edges; the edge at
-/// `break_at` (if any) is made safe by marking it unconditionally
-/// drained, which removes it from the wait graph.
-fn ring(n: usize, break_at: Option<usize>) -> CommGraph {
-    let mut g = CommGraph::new();
-    for i in 0..n {
-        g.add_node(format!("d{i}"), i as i32, 1_000_000);
-    }
-    for i in 0..n {
-        g.add_edge(Edge {
-            from: i,
-            to: (i + 1) % n,
-            capacity: 1,
-            rendezvous: true,
-            drained_unconditionally: break_at == Some(i),
-            kind: EdgeKind::Data,
-            group: None,
-        });
-    }
-    g
-}
-
-fn codes_of(g: &CommGraph) -> Vec<&'static str> {
-    g.verify().findings.iter().map(|f| f.code).collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// No false negatives: every all-rendezvous ring is a sustained
-    /// circular wait and must be flagged GA001, whatever its size.
-    #[test]
-    fn every_rendezvous_ring_is_flagged(n in 1usize..8) {
-        let g = ring(n, None);
-        prop_assert!(
-            codes_of(&g).contains(&codes::RENDEZVOUS_CYCLE),
-            "ring of {n} not flagged: {:?}", g.verify().findings
-        );
-    }
-
-    /// Breaking any single edge of the ring (an unconditional drain, like
-    /// the real machine's completion/wakeup sinks) clears GA001 — the
-    /// checker tracks the wait graph, not mere connectivity.
-    #[test]
-    fn one_drained_edge_breaks_the_cycle(n in 2usize..8, which in 0usize..8) {
-        let g = ring(n, Some(which % n));
-        prop_assert!(
-            !codes_of(&g).contains(&codes::RENDEZVOUS_CYCLE),
-            "broken ring of {n} still flagged: {:?}", g.verify().findings
-        );
-    }
-
-    /// Hold-and-wait triggers exactly per the theory: a multi-port claim
-    /// is GA003 iff it is non-atomic AND holds ≥2 rendezvous ports.
-    #[test]
-    fn hold_and_wait_matches_the_theory(
-        atomic in any::<bool>(),
-        rendezvous_ports in 0usize..4,
-        buffered_ports in 0usize..3,
-    ) {
-        let mut g = CommGraph::new();
-        let p = g.add_node("producer", 0, 1_000_000);
-        let group = g.add_group("claim", atomic);
-        let mut consumers = Vec::new();
-        for i in 0..(rendezvous_ports + buffered_ports) {
-            consumers.push(g.add_node(format!("c{i}"), (i + 1) as i32, 1_000_000));
-        }
-        for (i, &c) in consumers.iter().enumerate() {
-            let rendezvous = i < rendezvous_ports;
-            g.add_edge(Edge {
-                from: p,
-                to: c,
-                capacity: if rendezvous { 1 } else { 12 },
-                rendezvous,
-                drained_unconditionally: false,
-                kind: EdgeKind::Completion,
-                group: Some(group),
-            });
-        }
-        let expect = !atomic && rendezvous_ports >= 2;
-        prop_assert_eq!(codes_of(&g).contains(&codes::HOLD_AND_WAIT), expect);
-    }
-
-    /// Priorities: any duplicated pair among otherwise-distinct domains
-    /// is GA004; all-distinct assignments never are.
-    #[test]
-    fn duplicate_priorities_are_always_caught(n in 2usize..6, dup in any::<bool>()) {
-        let mut g = CommGraph::new();
-        for i in 0..n {
-            let priority = if dup && i == n - 1 { 0 } else { i as i32 };
-            g.add_node(format!("d{i}"), priority, 1_000_000);
-        }
-        // A chain keeps every node reachable so GA008 stays out of the way.
-        for i in 0..n - 1 {
-            g.add_edge(Edge {
-                from: i,
-                to: i + 1,
-                capacity: 12,
-                rendezvous: false,
-                drained_unconditionally: false,
-                kind: EdgeKind::Data,
-                group: None,
-            });
-        }
-        prop_assert_eq!(codes_of(&g).contains(&codes::DUPLICATE_CLOCK_PRIORITY), dup);
-    }
-}
+//! The shipping `paper_default` experiment matrix must vet completely
+//! clean under the static pre-flight, point by point.
 
 /// The shipping experiment matrix is the analyzer's most important
 /// negative control: all of `paper_default` must vet clean, every point,
@@ -136,19 +20,4 @@ fn every_paper_default_point_checks_clean() {
             spec.dvfs.label,
         );
     }
-}
-
-/// The real machine's graph itself: the rendezvous configuration is a
-/// cycle-free wait graph (completion/wakeup edges are drained sinks), so
-/// GA001/GA003 must NOT fire on it — the checks exist for user configs
-/// and regressions, not to condemn the shipping topology.
-#[test]
-fn the_shipping_rendezvous_machine_is_not_a_false_positive() {
-    let cfg = gals_core::ProcessorConfig::pausible_rendezvous_1ghz(1);
-    let report = gals_core::comm_graph(&cfg).verify();
-    assert!(
-        report.is_clean(),
-        "shipping rendezvous graph flagged: {:?}",
-        report.findings
-    );
 }

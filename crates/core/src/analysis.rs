@@ -1,11 +1,9 @@
 //! Static pre-flight analysis of a processor configuration.
 //!
-//! [`analyze`] runs before any pipeline state is built: it extracts the
-//! inter-domain communication graph the config would instantiate
-//! ([`comm_graph`] mirrors `Pipeline`'s channel construction exactly) and
-//! combines the structural verdict with the scalar parameter checks from
-//! [`gals_analysis::checks`]. [`simulate`](crate::simulate) refuses any
-//! config with an error-level finding up front
+//! [`analyze`] runs before any pipeline state is built: it applies the
+//! scalar checks from [`gals_analysis::checks`] to the config and its run
+//! limits. [`simulate`](crate::simulate) refuses any config with an
+//! error-level finding up front
 //! ([`SimError::InvalidConfig`](crate::SimError) carries the finding),
 //! records the worst surviving warning as the run's *static verdict*, and
 //! cross-references that verdict in any later
@@ -14,100 +12,17 @@
 //! post-mortem to grep. `sweep --check` uses the same entry point to vet
 //! whole matrices without simulating a cycle.
 
-use gals_analysis::{checks, codes, AnalysisReport, CommGraph, Edge, EdgeKind, Finding};
-use gals_clocks::{Domain, PausibleModel};
+use gals_analysis::{checks, codes, AnalysisReport, Finding};
+use gals_clocks::PausibleModel;
 
 use crate::config::{Clocking, ProcessorConfig, SimLimits};
 
-/// The three execution clusters, in [`Domain::index`] order 2/3/4.
-const CLUSTERS: [Domain; 3] = [Domain::IntCluster, Domain::FpCluster, Domain::MemCluster];
-
-/// Extracts the inter-domain communication graph a config instantiates.
-///
-/// Nodes are the five domains (priority = domain index, as wired into
-/// both schedulers); edges mirror `Pipeline`'s channel construction:
-/// fetch→decode and dispatch data channels at `channel_capacity`,
-/// completion/redirect/wakeup side channels at `side_channel_capacity`
-/// drained unconditionally every consumer tick, and — in rendezvous mode
-/// — every crossing stripped to a single-entry rendezvous port. Each
-/// cluster's completion + redirect + wakeup ports form one *atomic* port
-/// group, modeling the all-or-nothing writeback claim
-/// (`writeback_ports_free`) that makes the rendezvous machine
-/// hold-and-wait free.
-pub fn comm_graph(config: &ProcessorConfig) -> CommGraph {
-    let rendezvous = matches!(
-        &config.clocking,
-        Clocking::Pausible {
-            transfer: PausibleModel::Rendezvous,
-            ..
-        }
-    );
-    let cap = |nominal: usize| if rendezvous { 1 } else { nominal };
-    let main = cap(config.channel_capacity);
-    let side = cap(config.side_channel_capacity);
-
-    let mut g = CommGraph::new();
-    let nodes: [usize; 5] = std::array::from_fn(|i| {
-        let d = Domain::ALL[i];
-        let clock = config.clocking.domain_clock(d);
-        g.add_node(domain_name(d), i as i32, clock.period.as_fs())
-    });
-    g.entry = Domain::Fetch.index();
-
-    // Dataflow front: fetch→decode, then dispatch into the clusters.
-    // These channels back-pressure (the consumer drains them only as its
-    // own buffers free up), so they can sustain a wait.
-    let fetch = nodes[Domain::Fetch.index()];
-    let decode = nodes[Domain::Decode.index()];
-    let data = |from: usize, to: usize| Edge {
-        from,
-        to,
-        capacity: main,
-        rendezvous,
-        drained_unconditionally: false,
-        kind: EdgeKind::Data,
-        group: None,
-    };
-    g.add_edge(data(fetch, decode));
-    for c in CLUSTERS {
-        g.add_edge(data(decode, nodes[c.index()]));
-    }
-    // Writeback fabric: completion back to decode, redirect back to
-    // fetch, and the cross-cluster wakeup mesh. Consumers drain all of
-    // these unconditionally every ready cycle, and each cluster claims
-    // its full port set atomically per writeback.
-    for c in CLUSTERS {
-        let grp = g.add_group(format!("writeback({})", domain_name(c)), true);
-        let from = nodes[c.index()];
-        let mut side_edge = |to: usize, kind| {
-            g.add_edge(Edge {
-                from,
-                to,
-                capacity: side,
-                rendezvous,
-                drained_unconditionally: true,
-                kind,
-                group: Some(grp),
-            });
-        };
-        side_edge(decode, EdgeKind::Completion);
-        side_edge(fetch, EdgeKind::Redirect);
-        for other in CLUSTERS {
-            if other != c {
-                side_edge(nodes[other.index()], EdgeKind::Wakeup);
-            }
-        }
-    }
-    g
-}
-
 /// Runs the full static analysis of one configuration + run limits.
 ///
-/// Combines the scalar parameter checks (capacities, FIFO synchroniser
-/// window, DVFS ranges, budget sanity, uarch/energy validation, and — in
-/// chaos builds — armed wedge detection) with the structural graph
-/// verification from [`comm_graph`]. The report's finding order is
-/// deterministic.
+/// Applies the scalar parameter checks (uarch/energy validation,
+/// capacities, FIFO synchroniser window, DVFS ranges, budget sanity, and
+/// — in chaos builds — armed wedge detection). The report's finding
+/// order is deterministic.
 pub fn analyze(config: &ProcessorConfig, limits: &SimLimits) -> AnalysisReport {
     let mut report = AnalysisReport::new();
     // GA010: structural parameter validation, original messages preserved.
@@ -143,19 +58,7 @@ pub fn analyze(config: &ProcessorConfig, limits: &SimLimits) -> AnalysisReport {
     if let Some(seq) = limits.chaos.withhold_writeback {
         report.extend(checks::wedge(seq, limits.max_insts, limits.watchdog_cycles));
     }
-    report.merge(comm_graph(config).verify());
     report
-}
-
-/// Stable lowercase domain names, matching the deadlock report's labels.
-fn domain_name(d: Domain) -> &'static str {
-    match d {
-        Domain::Fetch => "fetch",
-        Domain::Decode => "decode",
-        Domain::IntCluster => "int",
-        Domain::FpCluster => "fp",
-        Domain::MemCluster => "mem",
-    }
 }
 
 #[cfg(test)]
@@ -176,35 +79,6 @@ mod tests {
     }
 
     #[test]
-    fn the_rendezvous_graph_is_single_entry_everywhere() {
-        let g = comm_graph(&ProcessorConfig::pausible_rendezvous_1ghz(1));
-        assert_eq!(g.nodes.len(), 5);
-        // 1 fetch→decode + 3 dispatch + 3×(completion + redirect + 2 wakeups)
-        assert_eq!(g.edges.len(), 16);
-        assert!(g.edges.iter().all(|e| e.rendezvous && e.capacity == 1));
-        // The writeback groups are atomic — the hold-and-wait exemption.
-        assert_eq!(g.groups.len(), 3);
-        assert!(g.groups.iter().all(|grp| grp.atomic));
-    }
-
-    #[test]
-    fn the_fifo_graph_keeps_configured_capacities() {
-        let cfg = ProcessorConfig::gals_equal_1ghz(3);
-        let g = comm_graph(&cfg);
-        assert!(g.edges.iter().all(|e| !e.rendezvous));
-        assert!(g
-            .edges
-            .iter()
-            .filter(|e| e.kind == EdgeKind::Data)
-            .all(|e| e.capacity == cfg.channel_capacity));
-        assert!(g
-            .edges
-            .iter()
-            .filter(|e| e.kind != EdgeKind::Data)
-            .all(|e| e.capacity == cfg.side_channel_capacity));
-    }
-
-    #[test]
     fn undersized_channels_become_ga005_errors() {
         let mut cfg = ProcessorConfig::synchronous_1ghz();
         cfg.channel_capacity = 1;
@@ -212,6 +86,17 @@ mod tests {
         let first = report.first_error().expect("undersized channel must error");
         assert_eq!(first.code, codes::CHANNEL_CAPACITY);
         assert!(first.message.contains("at least 2"));
+
+        // Both capacities at zero: one finding per channel class, no more.
+        let mut cfg = ProcessorConfig::gals_equal_1ghz(1);
+        cfg.channel_capacity = 0;
+        cfg.side_channel_capacity = 0;
+        let report = analyze(&cfg, &SimLimits::insts(1_000));
+        assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
+        assert!(report
+            .findings
+            .iter()
+            .all(|f| f.code == codes::CHANNEL_CAPACITY));
     }
 
     #[test]

@@ -327,30 +327,6 @@ impl ProcessorConfig {
     pub fn stable_identity(&self) -> String {
         format!("pcfg-v1|{self:?}")
     }
-
-    /// Validates the composite configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first inconsistency found in the microarchitecture,
-    /// energy parameters or channel sizing.
-    pub fn validate(&self) -> Result<(), String> {
-        self.uarch.validate()?;
-        self.energy.validate()?;
-        if self.channel_capacity < 2 {
-            return Err("channel capacity must be at least 2".into());
-        }
-        if self.side_channel_capacity < 16 {
-            return Err("side channels must hold at least 16 messages".into());
-        }
-        if !(0.0..=8.0).contains(&self.fifo_sync_periods) {
-            return Err(format!(
-                "fifo_sync_periods {} outside [0, 8]",
-                self.fifo_sync_periods
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// Bounds on a simulation run.
@@ -416,10 +392,17 @@ impl SimLimits {
 mod tests {
     use super::*;
 
+    /// True when the drivers' pre-flight would accept `cfg`.
+    fn preflights(cfg: &ProcessorConfig) -> bool {
+        crate::analyze(cfg, &SimLimits::insts(1_000))
+            .first_error()
+            .is_none()
+    }
+
     #[test]
     fn sync_config_validates() {
         let c = ProcessorConfig::synchronous_1ghz();
-        c.validate().unwrap();
+        assert!(preflights(&c));
         assert!(!c.clocking.is_gals());
         assert_eq!(
             c.clocking.domain_clock(Domain::Fetch).period,
@@ -477,7 +460,7 @@ mod tests {
     #[test]
     fn pausible_config_validates_and_matches_gals_clocks() {
         let p = ProcessorConfig::pausible_equal_1ghz(7);
-        p.validate().unwrap();
+        assert!(preflights(&p));
         assert!(p.clocking.is_pausible());
         assert!(!p.clocking.is_gals());
         assert!(!p.clocking.is_synchronous());
@@ -511,7 +494,7 @@ mod tests {
         assert_eq!(transfer, PausibleModel::Latched);
 
         let rdv = ProcessorConfig::pausible_rendezvous_1ghz(7);
-        rdv.validate().unwrap();
+        assert!(preflights(&rdv));
         let Clocking::Pausible {
             clocks,
             model,
@@ -579,14 +562,7 @@ mod tests {
             .with_wakeup_coalescing(true);
         assert!(cfg.cross_cluster_wakeup_filter);
         assert!(cfg.coalesce_wakeup_stretch);
-        cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn validation_catches_channel_sizes() {
-        let mut c = ProcessorConfig::synchronous_1ghz();
-        c.channel_capacity = 1;
-        assert!(c.validate().is_err());
+        assert!(preflights(&cfg));
     }
 
     #[test]

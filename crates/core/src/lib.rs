@@ -54,13 +54,12 @@ mod report;
 mod sim;
 
 pub use advisor::{AdvisorConfig, DomainUtilisation, DvfsAdvisor};
-pub use analysis::{analyze, comm_graph};
+pub use analysis::analyze;
 #[cfg(feature = "chaos")]
 pub use config::ChaosFaults;
 pub use config::{Clocking, DvfsPlan, ProcessorConfig, SimLimits};
 pub use error::{DeadlockReport, PortState, SimError};
 pub use gals_analysis::{codes, AnalysisReport, Finding, Severity};
 pub use inflight::{BranchInfo, InFlight, InFlightTable, InstrId, Redirect, SrcTags, Tag};
-pub use pipeline::Pipeline;
 pub use report::{DomainCycles, SimReport};
 pub use sim::{simulate, simulate_with_engine};

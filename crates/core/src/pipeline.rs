@@ -273,14 +273,9 @@ pub struct Pipeline<'p> {
 }
 
 impl<'p> Pipeline<'p> {
-    /// Builds the pipeline for a program under a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails validation.
+    /// Builds the pipeline for a program under a configuration that has
+    /// passed [`analyze`](crate::analyze) without an error.
     pub fn new(program: &'p Program, cfg: ProcessorConfig, limits: SimLimits) -> Self {
-        cfg.validate()
-            .unwrap_or_else(|e| panic!("invalid processor configuration: {e}"));
         let u = &cfg.uarch;
         let mk_data_channel = |from: Domain, to: Domain, cap: usize| -> Channel<InstrId> {
             Self::make_channel(&cfg, from, to, cap)
@@ -488,11 +483,6 @@ impl<'p> Pipeline<'p> {
     /// [`Pipeline::take_deadlock`]).
     pub fn done(&self) -> bool {
         self.halted || self.committed >= self.limits.max_insts || self.deadlock.is_some()
-    }
-
-    /// Committed instructions so far.
-    pub fn committed(&self) -> u64 {
-        self.committed
     }
 
     /// Advances one clock edge of `domain` at absolute time `now`.
