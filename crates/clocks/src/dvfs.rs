@@ -47,15 +47,6 @@ impl VoltageScaling {
         }
     }
 
-    /// A 0.35 µm process (α = 2), for the paper's equation discussion.
-    pub fn cmos_035um() -> Self {
-        VoltageScaling {
-            vdd_nominal: 3.3,
-            vt: 0.6,
-            alpha: 2.0,
-        }
-    }
-
     /// Raw delay figure `Vdd / (Vdd - Vt)^α`.
     ///
     /// # Panics

@@ -157,8 +157,8 @@ pub fn simulate_with_engine(
                 p.tick(d, e.now());
                 // Pausible mode: apply this tick's stretch requests before
                 // the next event runs. An edge at the current instant stays
-                // unstretched (the engine defers it), matching the batched
-                // ClockSet driver, which drains after the whole batch.
+                // unstretched (the engine defers it), matching the ClockSet
+                // driver, which also drains after every tick.
                 if let Some(requests) = p.take_stretch_requests() {
                     let ids = ids.borrow();
                     for (slot, extra) in requests.into_iter().enumerate() {

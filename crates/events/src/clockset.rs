@@ -29,8 +29,8 @@
 //! the simulator's model of a pausible clock whose ring oscillator is held
 //! by an arbiter while an inter-domain handshake completes. The stretch
 //! targets the first edge *strictly after* the current time; an edge at
-//! exactly `now` that is still pending (mid-batch) fires unstretched and the
-//! request is deferred to the edge after it, which is exactly the lazy
+//! exactly `now` that is still pending fires unstretched and the request is
+//! deferred to the edge after it, which is exactly the lazy
 //! semantics of [`Engine::stretch`](crate::Engine::stretch) — so the
 //! differential contract extends to stretched clocks.
 //!
@@ -90,7 +90,6 @@ pub struct ClockSet {
     deferred: [Time; MAX_CLOCKS],
     len: usize,
     now: Time,
-    edges: u64,
 }
 
 impl Default for ClockSet {
@@ -107,13 +106,12 @@ impl ClockSet {
             deferred: [Time::ZERO; MAX_CLOCKS],
             len: 0,
             now: Time::ZERO,
-            edges: 0,
         }
     }
 
     /// Registers a clock whose first edge is at `phase` and which then fires
     /// every `period`. Returns the clock's slot index (reported back by
-    /// [`ClockSet::tick`] and the batch dispatchers).
+    /// [`ClockSet::tick`]).
     ///
     /// # Panics
     ///
@@ -162,12 +160,6 @@ impl ClockSet {
         self.now
     }
 
-    /// Total edges dispatched so far.
-    #[inline]
-    pub fn edges_dispatched(&self) -> u64 {
-        self.edges
-    }
-
     /// The slot winning the `(next, priority, slot)` min-scan. The loop is a
     /// fixed-trip conditional-move scan over at most [`MAX_CLOCKS`] records —
     /// no heap, no branch misprediction cliff.
@@ -204,15 +196,14 @@ impl ClockSet {
         let t = self.entries[s].next;
         self.entries[s].next = t + self.entries[s].period + std::mem::take(&mut self.deferred[s]);
         self.now = t;
-        self.edges += 1;
         Some((t, s))
     }
 
     /// Requests a one-shot stretch of a clock: its first edge strictly after
     /// the current time is delayed by `extra`, and later edges follow
     /// `period` from the stretched edge. Requests accumulate. If the clock
-    /// still has a pending edge at exactly the current time (mid-batch), that
-    /// edge fires unstretched and the request applies to the edge after it —
+    /// still has a pending edge at exactly the current time, that edge fires
+    /// unstretched and the request applies to the edge after it —
     /// matching [`Engine::stretch`](crate::Engine::stretch), so the
     /// differential ordering contract holds for stretched clocks too.
     ///
@@ -230,61 +221,6 @@ impl ClockSet {
             self.deferred[slot] += extra;
         }
     }
-
-    /// Dispatches **all** edges sharing the earliest timestamp in ascending
-    /// `(priority, slot)` order with one callback per edge, amortising the
-    /// min-scan across the batch. For the fully synchronous machine (five
-    /// domains, one period and phase) this coalesces every time step into a
-    /// single scan + five dispatches.
-    ///
-    /// `dispatch(slot, time)` returns `false` to stop mid-batch; remaining
-    /// same-time edges stay pending (exactly like the general engine halting
-    /// between two simultaneous events). Returns the batch timestamp, or
-    /// `None` for an empty set.
-    pub fn tick_batch_while(
-        &mut self,
-        mut dispatch: impl FnMut(usize, Time) -> bool,
-    ) -> Option<Time> {
-        if self.len == 0 {
-            return None;
-        }
-        let first = self.min_slot();
-        let t = self.entries[first].next;
-        self.now = t;
-        loop {
-            let s = self.min_slot();
-            if self.entries[s].next != t {
-                return Some(t);
-            }
-            self.entries[s].next =
-                t + self.entries[s].period + std::mem::take(&mut self.deferred[s]);
-            self.edges += 1;
-            if !dispatch(s, t) {
-                return Some(t);
-            }
-        }
-    }
-
-    /// [`ClockSet::tick_batch_while`] without early exit.
-    pub fn tick_batch(&mut self, mut dispatch: impl FnMut(usize, Time)) -> Option<Time> {
-        self.tick_batch_while(|slot, time| {
-            dispatch(slot, time);
-            true
-        })
-    }
-
-    /// Dispatches every edge with a timestamp strictly below `deadline`,
-    /// batching simultaneous edges. Returns the number of edges dispatched.
-    pub fn run_until(&mut self, deadline: Time, mut dispatch: impl FnMut(usize, Time)) -> u64 {
-        let before = self.edges;
-        while let Some((t, _)) = self.peek() {
-            if t >= deadline {
-                break;
-            }
-            self.tick_batch(&mut dispatch);
-        }
-        self.edges - before
-    }
 }
 
 #[cfg(test)]
@@ -300,7 +236,13 @@ mod tests {
         let c2 = cs.add_clock(Time::from_ns(1), Time::from_ns(3), 2);
         let c3 = cs.add_clock(Time::ZERO, Time::from_ps(2500), 3);
         let mut log = Vec::new();
-        cs.run_until(Time::from_ns(8), |slot, t| log.push((slot, t.as_fs())));
+        while let Some((t, _)) = cs.peek() {
+            if t >= Time::from_ns(8) {
+                break;
+            }
+            let (t, slot) = cs.tick().expect("peeked edge exists");
+            log.push((slot, t.as_fs()));
+        }
         let expect = [
             (c3, 0u64),
             (c1, 500_000),
@@ -316,41 +258,8 @@ mod tests {
             (c3, 7_500_000),
         ];
         assert_eq!(log, expect);
-        assert_eq!(cs.edges_dispatched(), 11);
+        assert_eq!(log.len(), 11);
         assert_eq!(cs.now(), Time::from_ps(7_500));
-    }
-
-    #[test]
-    fn synchronous_clocks_coalesce_into_one_batch() {
-        let mut cs = ClockSet::new();
-        for p in 0..5 {
-            cs.add_clock(Time::ZERO, Time::from_ns(1), p);
-        }
-        let mut batch = Vec::new();
-        let t = cs
-            .tick_batch(|slot, time| batch.push((slot, time)))
-            .unwrap();
-        assert_eq!(t, Time::ZERO);
-        // All five domains dispatched at t=0, in priority order.
-        assert_eq!(batch, (0..5).map(|s| (s, Time::ZERO)).collect::<Vec<_>>());
-        // Next batch is a full nanosecond later.
-        assert_eq!(cs.peek(), Some((Time::from_ns(1), 0)));
-    }
-
-    #[test]
-    fn batch_early_exit_leaves_remaining_edges_pending() {
-        let mut cs = ClockSet::new();
-        for p in 0..3 {
-            cs.add_clock(Time::ZERO, Time::from_ns(1), p);
-        }
-        let mut seen = Vec::new();
-        cs.tick_batch_while(|slot, _| {
-            seen.push(slot);
-            slot < 1 // stop after the second dispatch
-        });
-        assert_eq!(seen, vec![0, 1]);
-        // Slot 2's t=0 edge is still pending.
-        assert_eq!(cs.peek(), Some((Time::ZERO, 2)));
     }
 
     #[test]
@@ -432,7 +341,6 @@ mod tests {
         assert!(cs.is_empty());
         assert_eq!(cs.peek(), None);
         assert_eq!(cs.tick(), None);
-        assert_eq!(cs.tick_batch(|_, _| ()), None);
     }
 
     #[test]

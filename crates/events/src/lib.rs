@@ -22,8 +22,8 @@
 //! * [`ClockSet`] — the static fast path for *purely periodic* clock sets
 //!   (the pipeline's actual workload: five free-running domain clocks).
 //!   One inline `(next_edge, period, priority)` record per clock, a
-//!   branchless min-scan instead of a heap, zero allocation and zero
-//!   dynamic dispatch per edge, and batched dispatch of simultaneous edges.
+//!   branchless min-scan instead of a heap, and zero allocation and zero
+//!   dynamic dispatch per edge.
 //!
 //! Both dispatch every edge of every clock, in `(time, priority)` order;
 //! for clocks with distinct priorities the two produce identical edge

@@ -101,15 +101,6 @@ proptest! {
             cs_log.push((t.as_fs(), slot));
         }
         prop_assert_eq!(&engine_log, &cs_log);
-
-        // Batched dispatch must flatten to the same sequence.
-        let mut batched = ClockSet::new();
-        for (i, &(phase, period)) in specs.iter().enumerate() {
-            batched.add_clock(Time::from_fs(phase), Time::from_fs(period), i as i32);
-        }
-        let mut batch_log = Vec::new();
-        batched.run_until(Time::from_fs(horizon), |slot, t| batch_log.push((t.as_fs(), slot)));
-        prop_assert_eq!(&engine_log, &batch_log);
     }
 
     /// The differential contract extends to stretched (pausible) clocks:

@@ -97,12 +97,6 @@ impl<'p> DynStream<'p> {
     pub fn produced(&self) -> u64 {
         self.seq
     }
-
-    /// Current call-stack depth.
-    #[inline]
-    pub fn call_depth(&self) -> usize {
-        self.call_stack.len()
-    }
 }
 
 impl Iterator for DynStream<'_> {

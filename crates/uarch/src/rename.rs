@@ -252,18 +252,6 @@ impl RenameUnit {
         }
     }
 
-    /// Frees the destination register of a squashed instruction whose
-    /// rename is *not* covered by any restored checkpoint (used only by
-    /// non-checkpoint recovery paths; unnecessary when `recover` is used).
-    pub fn squash_release(&mut self, reg: ArchReg, new: PhysReg) {
-        let class = if reg.is_fp() {
-            &mut self.fp
-        } else {
-            &mut self.int
-        };
-        class.release(new);
-    }
-
     /// Number of in-flight renames (allocated beyond architectural state)
     /// for the integer class — the paper's "register allocation table
     /// occupancy".
