@@ -34,6 +34,12 @@
 //! * Any other key, at the top level or in a dvfs object, is an error
 //!   that names it: a misspelt `budget` must not silently run at the
 //!   default.
+//! * No axis may list one value twice: a repeated benchmark, mode, DVFS
+//!   label or phase seed is an error that names it, since the derived
+//!   tables would count its points twice or look up the wrong one. Modes
+//!   compare by value, so `pausible@300ps+coalesce+coalesce` repeats
+//!   `pausible@300ps+coalesce`. The label `nominal` is the tables'
+//!   baseline: a dvfs object may use it only with every factor at 1.0.
 //!
 //! [`SweepMatrix::to_matrix_json`](crate::SweepMatrix::to_matrix_json)
 //! renders this format back, and the loader/renderer pair round-trips
@@ -42,6 +48,8 @@
 //! The parser is a self-contained minimal JSON reader (the workspace
 //! carries no serde); errors are human-readable strings the binary routes
 //! to stderr with the uniform usage exit code.
+
+use std::collections::BTreeSet;
 
 use gals_events::FS_PER_PS;
 use gals_workload::Workload;
@@ -411,6 +419,11 @@ fn dvfs_from_json(v: &Json) -> Result<DvfsPoint, String> {
                     }
                 }
             }
+            if label == "nominal" && slowdown != [1.0; 5] {
+                return Err("dvfs \"nominal\" is the derived tables' baseline: its \
+                     slowdown factors must all be 1.0"
+                    .into());
+            }
             Ok(DvfsPoint::per_domain(label, slowdown))
         }
         other => Err(format!(
@@ -442,6 +455,12 @@ pub(crate) fn u64_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// The first value `items` yields twice, if any.
+fn first_repeat<T: Ord + Clone>(items: impl IntoIterator<Item = T>) -> Option<T> {
+    let mut seen = BTreeSet::new();
+    items.into_iter().find(|item| !seen.insert(item.clone()))
+}
+
 /// Rejects the first key of object `v` outside `known`, naming it.
 fn check_keys(v: &Json, what: &str, known: &[&str]) -> Result<(), String> {
     let Json::Obj(fields) = v else { return Ok(()) };
@@ -462,8 +481,8 @@ fn check_keys(v: &Json, what: &str, known: &[&str]) -> Result<(), String> {
 /// # Errors
 ///
 /// A human-readable message naming the first problem — malformed JSON, an
-/// unknown key or benchmark/mode/dvfs name, a missing axis, or an empty
-/// one.
+/// unknown key or benchmark/mode/dvfs name, a missing axis, an empty one,
+/// or one that repeats a value.
 pub(crate) fn matrix_from_json(text: &str, default_budget: u64) -> Result<SweepMatrix, String> {
     let mut parser = Parser::new(text);
     let root = parser.value()?;
@@ -530,6 +549,19 @@ pub(crate) fn matrix_from_json(text: &str, default_budget: u64) -> Result<SweepM
     let mut phase_seeds = Vec::new();
     for item in list("phase_seeds")? {
         phase_seeds.push(exact_u64(item, "phase_seeds entry")?);
+    }
+    // Names and labels are canonical, so equal strings mean equal values.
+    if let Some(name) = first_repeat(benchmarks.iter().map(|b| b.name())) {
+        return Err(format!("benchmarks lists {name:?} twice"));
+    }
+    if let Some(label) = first_repeat(modes.iter().map(ModePoint::label)) {
+        return Err(format!("modes lists {label:?} twice"));
+    }
+    if let Some(label) = first_repeat(dvfs.iter().map(|d| d.label.as_str())) {
+        return Err(format!("dvfs lists the label {label:?} twice"));
+    }
+    if let Some(seed) = first_repeat(phase_seeds.iter().copied()) {
+        return Err(format!("phase_seeds lists {seed} twice"));
     }
 
     Ok(SweepMatrix {
@@ -741,6 +773,77 @@ mod tests {
         }
         let ok = with_dvfs(r#""uniform1x", {"label": "fp2x", "slowdown": [1, 1, 1, 2, 1]}"#);
         assert_eq!(ok.unwrap().dvfs.len(), 2);
+    }
+
+    #[test]
+    fn repeated_axis_values_and_a_relabelled_nominal_are_rejected() {
+        let matrix = |benchmarks: &str, modes: &str, dvfs: &str, seeds: &str| {
+            matrix_from_json(
+                &format!(
+                    r#"{{"benchmarks": [{benchmarks}], "modes": [{modes}],
+                        "dvfs": [{dvfs}], "phase_seeds": [{seeds}]}}"#
+                ),
+                1,
+            )
+        };
+        let x1 = r#"{"label": "x", "slowdown": [1, 1, 1, 2, 1]}"#;
+        let x3 = r#"{"label": "x", "slowdown": [3, 3, 3, 3, 3]}"#;
+        for (benchmarks, modes, dvfs, seeds, want) in [
+            (
+                r#""gcc", "gcc", "fpppp""#,
+                r#""gals""#,
+                r#""nominal""#,
+                "1",
+                r#"benchmarks lists "gcc" twice"#,
+            ),
+            (
+                r#""gcc""#,
+                r#""pausible@300ps+coalesce", "pausible@300ps+coalesce+coalesce""#,
+                r#""nominal""#,
+                "1",
+                r#"modes lists "pausible@300ps+coalesce" twice"#,
+            ),
+            (
+                r#""gcc""#,
+                r#""gals""#,
+                &format!(r#""nominal", {x1}, {x3}"#),
+                "1",
+                r#"dvfs lists the label "x" twice"#,
+            ),
+            (
+                r#""gcc""#,
+                r#""gals""#,
+                r#""uniform1.5x", "uniform1.50x""#,
+                "1",
+                r#"dvfs lists the label "uniform1.5x" twice"#,
+            ),
+            (
+                r#""gcc""#,
+                r#""gals""#,
+                r#""nominal""#,
+                "7, 2002, 7",
+                "phase_seeds lists 7 twice",
+            ),
+            (
+                r#""gcc""#,
+                r#""gals""#,
+                r#"{"label": "nominal", "slowdown": [2, 2, 2, 2, 2]}, "uniform1.5x""#,
+                "1",
+                r#"dvfs "nominal" is the derived tables' baseline"#,
+            ),
+        ] {
+            let e = matrix(benchmarks, modes, dvfs, seeds).unwrap_err();
+            assert!(e.starts_with(want), "{e}");
+        }
+        // A nominal object at unit factors is the nominal point itself.
+        let m = matrix(
+            r#""gcc""#,
+            r#""gals""#,
+            r#"{"label": "nominal", "slowdown": [1, 1, 1, 1, 1]}"#,
+            "1",
+        )
+        .unwrap();
+        assert_eq!(m.dvfs, vec![DvfsPoint::nominal()]);
     }
 
     #[test]
