@@ -24,7 +24,9 @@ use gals_events::Time;
 use gals_workload::Benchmark;
 
 fn main() {
-    let cli = BenchCli::parse_or_exit("ablation_pausible [--budget N | N]");
+    const USAGE: &str = "ablation_pausible [--budget N | N]";
+    let cli = BenchCli::parse_or_exit(USAGE);
+    cli.reject_unread_or_exit(&["--budget"], "ablation_pausible", USAGE);
     let insts = cli.budget_or(RUN_INSTS);
     println!("Ablation: pausible clocking vs mixed-clock FIFOs (measured, {insts} insts)");
     println!();

@@ -19,7 +19,8 @@
 //!   the static pre-flight analyzer (`gals-analysis`) over every point,
 //!   printing a per-point finding table. Exits 4 (`exit_code::ANALYSIS`)
 //!   on any warning-or-worse finding, 0 on a clean matrix; combining
-//!   `--check` with `--matrix` is a usage error. The chaos flags compose:
+//!   `--check` with `--matrix`, `--out`, `--cache` or `--threads`, which
+//!   it would not read, is a usage error. The chaos flags compose:
 //!   `--check M --chaos-wedge I` vets the *faulted* runs, so a wedge the
 //!   runtime watchdog would deadlock on is flagged GA002 statically.
 //! * `--threads N` — worker threads (default: host parallelism). The
@@ -175,6 +176,11 @@ fn main() {
                 "--check runs nothing; pass the matrix file to --check itself, not --matrix",
             );
         }
+        cli.reject_unread_or_exit(
+            &["--check", "--budget", "--chaos-panic", "--chaos-wedge"],
+            "--check",
+            USAGE,
+        );
         check_exit(check, &cli);
     }
     let out = cli

@@ -34,7 +34,7 @@
 //! * `sweep` takes the options above, parsed by [`BenchCli`];
 //! * `ablation_pausible` takes `--budget N` (or a bare positional `N`) to
 //!   override its committed-instruction budget, also through
-//!   [`BenchCli`];
+//!   [`BenchCli`], and rejects every other flag;
 //! * `gasm` takes `[--seed N] [--fuel N] FILE...`.
 //!
 //! The other fifteen binaries ignore their arguments; those that simulate
@@ -165,7 +165,8 @@ pub fn write_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<(
 /// The command line of the `sweep` and `ablation_pausible` binaries: an
 /// instruction budget (`--budget N` or the historical bare positional
 /// `N`), an output path, a worker-thread count, and the `sweep` binary's
-/// options. Each binary uses the subset it documents and ignores the rest.
+/// options. Each binary uses the subset it documents and rejects the rest
+/// ([`BenchCli::reject_unread_or_exit`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchCli {
     /// Committed-instruction budget override (`--budget N` or bare `N`).
@@ -247,13 +248,25 @@ impl BenchCli {
     /// Parses the process arguments; on error prints the message and
     /// `usage` to stderr and exits with [`exit_code::USAGE`].
     pub fn parse_or_exit(usage: &str) -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(cli) => cli,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!("usage: {usage}");
-                std::process::exit(exit_code::USAGE);
-            }
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|msg| usage_exit(&msg, usage))
+    }
+
+    /// Exits with [`exit_code::USAGE`], naming the flag, if the command
+    /// line set any flag outside `read` (the flags `who` reads): a flag
+    /// the binary would ignore must not look as if it took effect.
+    pub fn reject_unread_or_exit(&self, read: &[&str], who: &str, usage: &str) {
+        let set = [
+            ("--budget", self.budget.is_some()),
+            ("--out", self.out.is_some()),
+            ("--threads", self.threads.is_some()),
+            ("--matrix", self.matrix.is_some()),
+            ("--check", self.check.is_some()),
+            ("--cache", self.cache.is_some()),
+            ("--chaos-panic", !self.chaos_panic.is_empty()),
+            ("--chaos-wedge", !self.chaos_wedge.is_empty()),
+        ];
+        if let Some((flag, _)) = set.iter().find(|(flag, on)| *on && !read.contains(flag)) {
+            usage_exit(&format!("{who} does not read {flag}"), usage);
         }
     }
 
@@ -267,6 +280,13 @@ impl BenchCli {
         self.threads
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
+}
+
+/// Prints `msg` and `usage` to stderr and exits with [`exit_code::USAGE`].
+fn usage_exit(msg: &str, usage: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("usage: {usage}");
+    std::process::exit(exit_code::USAGE);
 }
 
 fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {

@@ -1,7 +1,8 @@
-//! The `sweep` binary's command line, run as a process: every malformed
-//! invocation exits 2 (`exit_code::USAGE`) with an `error:` line on
-//! stderr, never a panic's 101, and a well-formed one exits 0 and writes
-//! its report.
+//! The `sweep` and `ablation_pausible` command lines, run as processes:
+//! every malformed invocation, including a flag the binary would not
+//! read, exits 2 (`exit_code::USAGE`) with an `error:` line on stderr,
+//! never a panic's 101, and a well-formed one exits 0 and writes its
+//! report.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -15,11 +16,18 @@ const ONE_POINT: &str = r#"{
   "budget": 200
 }"#;
 
-fn sweep(args: &[&str]) -> Output {
-    std::process::Command::new(env!("CARGO_BIN_EXE_sweep"))
+const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
+const ABLATION_PAUSIBLE: &str = env!("CARGO_BIN_EXE_ablation_pausible");
+
+fn run(exe: &str, args: &[&str]) -> Output {
+    std::process::Command::new(exe)
         .args(args)
         .output()
-        .expect("spawn the sweep binary")
+        .expect("spawn the binary")
+}
+
+fn sweep(args: &[&str]) -> Output {
+    run(SWEEP, args)
 }
 
 /// A fresh scratch directory of this test file, holding the one-point
@@ -38,16 +46,21 @@ fn path(p: &Path) -> &str {
 
 #[track_caller]
 fn assert_usage_error(args: &[&str]) {
-    let out = sweep(args);
+    assert_exits_2(SWEEP, args);
+}
+
+#[track_caller]
+fn assert_exits_2(exe: &str, args: &[&str]) {
+    let out = run(exe, args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
         Some(2),
-        "sweep {args:?} must exit 2; stderr:\n{stderr}"
+        "{exe} {args:?} must exit 2; stderr:\n{stderr}"
     );
     assert!(
         stderr.lines().any(|l| l.starts_with("error: ")),
-        "sweep {args:?} printed no error line; stderr:\n{stderr}"
+        "{exe} {args:?} printed no error line; stderr:\n{stderr}"
     );
 }
 
@@ -82,6 +95,37 @@ fn bad_matrix_files_are_usage_errors() {
     assert_usage_error(&["--matrix", path(&missing)]);
     assert_usage_error(&["--matrix", path(&not_json)]);
     assert_usage_error(&["--check", path(&matrix), "--matrix", path(&matrix)]);
+}
+
+#[test]
+fn flags_a_binary_would_not_read_are_usage_errors() {
+    let dir = scratch("unread");
+    let matrix = dir.join("matrix.json");
+    let missing = dir.join("missing").join("x");
+    // `--check` simulates nothing and writes nothing.
+    for unread in [
+        ["--out", path(&missing)],
+        ["--cache", path(&missing)],
+        ["--threads", "3"],
+    ] {
+        let mut args = vec!["--check", path(&matrix)];
+        args.extend(unread);
+        assert_usage_error(&args);
+    }
+    // `ablation_pausible` reads its budget and nothing else.
+    for unread in [
+        ["--out", path(&missing)],
+        ["--threads", "3"],
+        ["--matrix", path(&matrix)],
+        ["--check", path(&matrix)],
+        ["--cache", path(&missing)],
+        ["--chaos-panic", "1"],
+        ["--chaos-wedge", "1"],
+    ] {
+        let mut args = vec!["--budget", "300"];
+        args.extend(unread);
+        assert_exits_2(ABLATION_PAUSIBLE, &args);
+    }
 }
 
 #[test]
