@@ -663,16 +663,23 @@ impl RunSpec {
     /// config is built — the clock constructors assert on factors below
     /// 1.0, and an analysis pass must out-run the assert.
     pub fn static_findings_with(&self, limits: &SimLimits) -> Vec<Finding> {
+        let pre = self.dvfs_findings();
+        if !pre.is_empty() {
+            return pre;
+        }
+        gals_core::analyze(&self.config(), limits).findings
+    }
+
+    /// The DVFS checks that must run before [`RunSpec::config`]: the clock
+    /// constructors assert on the factors these reject.
+    fn dvfs_findings(&self) -> Vec<Finding> {
         let plan = self.dvfs.plan();
         let mut pre = checks::dvfs(&plan.slowdown);
         pre.extend(checks::dvfs_uniform_on_sync(
             matches!(self.mode, ModePoint::Synchronous),
             &plan.slowdown,
         ));
-        if !pre.is_empty() {
-            return pre;
-        }
-        gals_core::analyze(&self.config(), limits).findings
+        pre
     }
 
     /// Simulates `program`, which must be this spec's workload at its
@@ -695,19 +702,13 @@ impl RunSpec {
     }
 
     /// The [`ProcessorConfig::stable_identity`] contribution to the run
-    /// key. Mirrors [`RunSpec::static_findings_with`]'s pre-check: an
+    /// key. Shares [`RunSpec::static_findings_with`]'s DVFS pre-check: an
     /// invalid DVFS point would assert inside the clock constructors,
     /// and a key must be computable for *every* spec (the sweep keys
     /// points that will fail at run time too), so a statically rejected
     /// config is keyed by its rejection code instead.
     fn config_identity(&self) -> String {
-        let plan = self.dvfs.plan();
-        let mut pre = checks::dvfs(&plan.slowdown);
-        pre.extend(checks::dvfs_uniform_on_sync(
-            matches!(self.mode, ModePoint::Synchronous),
-            &plan.slowdown,
-        ));
-        match pre.first() {
+        match self.dvfs_findings().first() {
             None => self.config().stable_identity(),
             Some(f) => format!("invalid:{}", f.code),
         }
